@@ -58,6 +58,10 @@ class LossConfig:
     def __post_init__(self):
         if self.temperature <= 0:
             raise DomainError(f"temperature must be positive, got {self.temperature}")
+        for name in ("lambda_t", "lambda_g", "lambda_v_max"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value >= 0):
+                raise UsageError(f"{name} must be a finite number >= 0, got {value}")
         if self.kl_variant not in (None, "svd", "vbd"):
             raise UsageError(f"unknown kl variant {self.kl_variant!r}")
         if self.bsr_variant not in (None, "l1lq", "l1linf"):

@@ -70,6 +70,21 @@ class StudentTrainConfig:
     log_sigma2_init: float = -8.0
     grad_clip: float | None = None
 
+    def __post_init__(self):
+        check_schedule(self.epochs, self.batch_size, self.lr)
+        if np.isnan(self.tau):
+            raise UsageError(f"tau must be a number, got {self.tau}")
+
+
+def check_schedule(epochs: int, batch_size: int, lr: float) -> None:
+    """Reject a training schedule that cannot run: shared by both networks' configs."""
+    if epochs < 1:
+        raise UsageError(f"epochs must be at least 1, got {epochs}")
+    if batch_size < 1:
+        raise UsageError(f"batch size must be at least 1, got {batch_size}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise UsageError(f"lr must be a finite number > 0, got {lr}")
+
 
 def _clip_global_norm(params, max_norm: float):
     """Scale all gradients together so their joint l2 norm is at most max_norm."""

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor, maximum
+from .autograd import Tensor
 from .errors import ConsistencyError, FormatError, ShapeError
 from .tensor import RngStream, relu, sigmoid
 
@@ -26,7 +26,7 @@ __all__ = [
     "K1", "K2", "K3", "LOG_ALPHA_CLAMP",
     "VariationalDenseLayer", "StudentNet",
     "init_student", "alpha_log", "prune_mask", "prune_masks",
-    "kl_svd", "kl_vbd", "kl_svd_node", "kl_vbd_node", "log_alpha_node",
+    "kl_svd", "kl_vbd", "kl_svd_node", "kl_vbd_node",
     "variational_forward", "student_logits",
     "save_student", "load_student", "student_digest",
 ]
@@ -120,41 +120,79 @@ def prune_masks(net: StudentNet, tau: float) -> list[np.ndarray]:
 # -- KL penalties over log-alpha ----------------------------------------------
 
 
-def kl_svd(log_alpha: np.ndarray) -> float:
-    """Sparsifying penalty, summed.  Non-negative, and vanishes as alpha
-    grows, so minimising it pushes weights toward removal.
+def _kl_per_weight(la: np.ndarray, variant: str) -> np.ndarray:
+    """Per-weight penalty over an already clamped log-alpha.
 
-    The constant-offset pair is folded into one complementary sigmoid,
+    ``svd`` folds the constant-offset pair into one complementary sigmoid,
     K1 - K1*sigmoid(x) = K1*sigmoid(-x), which keeps the tiny tail from
     being absorbed into the constant and then cancelled away.
     """
-    la = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+    half = 0.5 * np.log1p(np.exp(-la))
+    if variant == "vbd":
+        return half
     sig_neg = 1.0 / (1.0 + np.exp(K2 + K3 * la))
-    return float(np.sum(K1 * sig_neg + 0.5 * np.log1p(np.exp(-la))))
+    return K1 * sig_neg + half
+
+
+def kl_svd(log_alpha: np.ndarray) -> float:
+    """Sparsifying penalty, summed.  Non-negative, and vanishes as alpha
+    grows, so minimising it pushes weights toward removal."""
+    la = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+    return float(np.sum(_kl_per_weight(la, "svd")))
 
 
 def kl_vbd(log_alpha: np.ndarray) -> float:
     """Log-uniform bound penalty, summed: 0.5 * log(1 + 1/alpha)."""
     la = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
-    return float(np.sum(0.5 * np.log1p(np.exp(-la))))
+    return float(np.sum(_kl_per_weight(la, "vbd")))
 
 
-def log_alpha_node(theta_t: Tensor, log_sigma2_t: Tensor) -> Tensor:
-    square = maximum(theta_t * theta_t, Tensor(np.float64(_THETA_SQ_FLOOR)))
-    return (log_sigma2_t - square.log()).clip(-LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+def _kl_node(theta_t: Tensor, log_sigma2_t: Tensor, variant: str) -> Tensor:
+    """One graph node for a layer's summed penalty, with its closed-form gradient.
+
+    log alpha = log sigma^2 - log max(theta^2, floor), clamped.  No gradient
+    flows where the raw log alpha lies outside the closed clamp interval, nor
+    to theta where theta^2 < floor.  ``back`` rounds in the order of the same
+    penalty composed from single graph operations, so its gradients equal
+    that graph's bit for bit and training reproduces it.
+    """
+    theta = theta_t.data
+    theta_sq = theta * theta
+    square = np.maximum(theta_sq, _THETA_SQ_FLOOR)
+    la = log_sigma2_t.data - np.log(square)
+    inside = (la >= -LOG_ALPHA_CLAMP) & (la <= LOG_ALPHA_CLAMP)
+    np.clip(la, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP, out=la)
+    req = theta_t.requires_grad or log_sigma2_t.requires_grad
+
+    def back(g):
+        # dKL/dla = -K1*K3*s*(1-s) - 0.5*sigmoid(-la), s = sigmoid(-(K2 + K3*la))
+        e = np.exp(-la)
+        dla = -(g * 0.5 / (e + 1.0) * e)
+        if variant == "svd":
+            s = sigmoid(la * -K3 - K2)
+            dla += g * K1 * s * (1.0 - s) * -K3
+        dla *= inside
+        if log_sigma2_t.requires_grad:
+            log_sigma2_t._accumulate(dla)
+        if theta_t.requires_grad:
+            half_dtheta = -dla / square * (theta_sq >= _THETA_SQ_FLOOR) * theta
+            # theta*theta reaches theta through both factors: one addition each
+            theta_t._accumulate(half_dtheta)
+            theta_t._accumulate(half_dtheta)
+
+    value = np.sum(_kl_per_weight(la, variant))
+    return Tensor(value, req, (theta_t, log_sigma2_t), back if req else None)
 
 
 def kl_svd_node(theta_t: Tensor, log_sigma2_t: Tensor) -> Tensor:
-    """Graph version of :func:`kl_svd`; returns the scalar sum."""
-    la = log_alpha_node(theta_t, log_sigma2_t)
-    sig_neg = (la * -K3 - K2).sigmoid()
-    half = ((la * -1.0).exp() + 1.0).log() * 0.5
-    return (sig_neg * K1 + half).sum()
+    """Graph version of :func:`kl_svd` on log alpha from the layer's
+    parameters; returns the scalar sum."""
+    return _kl_node(theta_t, log_sigma2_t, "svd")
 
 
 def kl_vbd_node(theta_t: Tensor, log_sigma2_t: Tensor) -> Tensor:
-    la = log_alpha_node(theta_t, log_sigma2_t)
-    return (((la * -1.0).exp() + 1.0).log() * 0.5).sum()
+    """Graph version of :func:`kl_vbd`; returns the scalar sum."""
+    return _kl_node(theta_t, log_sigma2_t, "vbd")
 
 
 # -- forward passes ------------------------------------------------------------

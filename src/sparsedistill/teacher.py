@@ -26,7 +26,7 @@ from .errors import ConsistencyError, FormatError, LengthError, ShapeError, Stal
 from .data import Dataset, batch_iter
 from .losses import cross_entropy_node
 from .metrics import top1_error
-from .optim import Adam
+from .optim import Adam, check_schedule
 from .tensor import RngStream, relu, sigmoid
 
 __all__ = [
@@ -97,6 +97,9 @@ class TeacherConfig:
     seed: int = 0
     activation: str = "relu"
 
+    def __post_init__(self):
+        check_schedule(self.epochs, self.batch_size, self.lr)
+
 
 @dataclass
 class LogitCache:
@@ -130,7 +133,10 @@ def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
         )
     act = _ACTIVATIONS[net.activation]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        x = act(x @ w + b)
+        # the bias is added in place so that one fewer batch-by-width array is live
+        x = x @ w
+        x += b
+        x = act(x)
     return x @ net.weights[-1] + net.biases[-1]
 
 

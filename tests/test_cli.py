@@ -152,6 +152,42 @@ class TestUsageExitCodes:
         assert rc == 2
 
 
+class TestBadValuesExit2:
+    """Values that parse but cannot be trained with fail with exit 2 and name the value."""
+
+    def student(self, corpus, *flags, teacher_run=None):
+        teacher = [] if teacher_run is None else ["--teacher", teacher_run["teacher"],
+                                                  "--cache", teacher_run["cache"]]
+        return main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                     "--epochs", "1", "--batch", "32", *teacher, *flags])
+
+    def test_zero_epochs_and_batch(self, corpus, tmp_path, capsys):
+        for flag in ("--epochs", "--batch"):
+            assert self.student(corpus, "--variant", "simple", flag, "0",
+                                "--out", str(tmp_path / "s")) == 2
+            assert "got 0" in capsys.readouterr().err
+            assert main(["train-teacher", *data_flags(corpus, test=False), "--arch", "16-10-3",
+                         "--epochs", "1", "--batch", "32", flag, "0",
+                         "--out", str(tmp_path / "t")]) == 2
+            assert "got 0" in capsys.readouterr().err
+
+    def test_negative_hint_weight(self, corpus, teacher_run, tmp_path):
+        assert self.student(corpus, "--variant", "kd", "--lambda-t", "-3",
+                            "--out", str(tmp_path), teacher_run=teacher_run) == 2
+
+    def test_negative_group_weight(self, corpus, teacher_run, tmp_path):
+        assert self.student(corpus, "--variant", "st-svd", "--lambda-g", "-1",
+                            "--out", str(tmp_path), teacher_run=teacher_run) == 2
+
+    def test_negative_lr(self, corpus, tmp_path):
+        assert self.student(corpus, "--variant", "simple", "--lr", "-1",
+                            "--out", str(tmp_path)) == 2
+
+    def test_nan_tau(self, corpus, tmp_path):
+        assert self.student(corpus, "--variant", "simple", "--tau", "nan",
+                            "--out", str(tmp_path)) == 2
+
+
 class TestRuntimeExitCodes:
     def test_stale_cache_against_other_teacher(self, corpus, teacher_run,
                                                tmp_path_factory):

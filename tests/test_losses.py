@@ -44,6 +44,23 @@ class TestLossConfig:
         LossConfig(bsr_variant="l1lq", q=1.0)
         LossConfig(q=0.5)  # only checked when the l1lq norm is active
 
+    @staticmethod
+    def assert_weight_rejected(name):
+        for bad in (-1.0, -3.0, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match=name):
+                LossConfig(**{name: bad})
+        LossConfig(**{name: 0.0})
+
+    def test_hint_weight_validation(self):
+        self.assert_weight_rejected("lambda_t")
+
+    def test_group_weight_validation(self):
+        self.assert_weight_rejected("lambda_g")
+
+    def test_kl_weight_validation(self):
+        self.assert_weight_rejected("lambda_v_max")
+        LossConfig(lambda_v_max=None)
+
 
 class TestResolveVariant:
     def test_simple_disables_everything(self):

@@ -26,6 +26,24 @@ def quick_cfg(**overrides):
     return StudentTrainConfig(**{**base, **overrides})
 
 
+class TestStudentTrainConfig:
+    def test_epochs_and_batch_must_be_positive(self):
+        with pytest.raises(UsageError, match="epochs must be at least 1, got 0"):
+            quick_cfg(epochs=0)
+        with pytest.raises(UsageError, match="batch size must be at least 1, got 0"):
+            quick_cfg(batch_size=0)
+
+    def test_lr_must_be_finite_and_positive(self):
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="lr must be"):
+                quick_cfg(lr=bad)
+
+    def test_tau_must_not_be_nan(self):
+        with pytest.raises(UsageError, match="tau"):
+            quick_cfg(tau=float("nan"))
+        quick_cfg(tau=float("inf"))  # keeps every weight
+
+
 class TestAdam:
     def test_missing_gradient_leaves_parameter_untouched(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)

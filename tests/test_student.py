@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from sparsedistill.autograd import Tensor
+from sparsedistill.autograd import Tensor, maximum
 from sparsedistill.errors import ConsistencyError, FormatError, ShapeError
-from sparsedistill.student import (LOG_ALPHA_CLAMP, StudentNet, VariationalDenseLayer,
+from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
+                                   VariationalDenseLayer, _THETA_SQ_FLOOR,
                                    alpha_log, init_student, kl_svd, kl_svd_node, kl_vbd,
-                                   kl_vbd_node, load_student, log_alpha_node, prune_mask,
+                                   kl_vbd_node, load_student, prune_mask,
                                    prune_masks, save_student, student_digest,
                                    student_logits, student_logits_node,
                                    variational_forward)
@@ -40,6 +41,16 @@ VBD_TABLE = {
     4: 0.0090749639589048702,
     8: 0.00016770318644788442,
 }
+
+
+def composed_kl(theta_t, log_sigma2_t, variant):
+    """Reference for the fused penalty nodes, composed from single graph operations."""
+    square = maximum(theta_t * theta_t, Tensor(np.float64(_THETA_SQ_FLOOR)))
+    la = (log_sigma2_t - square.log()).clip(-LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+    half = ((la * -1.0).exp() + 1.0).log() * 0.5
+    if variant == "vbd":
+        return half.sum()
+    return ((la * -K3 - K2).sigmoid() * K1 + half).sum()
 
 
 def layer_fixture():
@@ -179,17 +190,52 @@ class TestKlGraphNodes:
         graph = kl_svd_node(Tensor(theta), Tensor(logs2)).item()
         assert abs(numeric - graph) < 1e-12
 
-    def test_log_alpha_node_forward(self):
+    def test_fused_log_alpha_forward(self):
         theta = np.array([[0.5, -2.0, 1e-30]])
         logs2 = np.array([[-4.0, 1.0, 0.0]])
-        node = log_alpha_node(Tensor(theta), Tensor(logs2))
-        np.testing.assert_allclose(node.data, alpha_log(theta, logs2), rtol=1e-12)
+        la = alpha_log(theta, logs2)
+        assert kl_svd_node(Tensor(theta), Tensor(logs2)).item() == kl_svd(la)
+        assert kl_vbd_node(Tensor(theta), Tensor(logs2)).item() == kl_vbd(la)
 
-    def test_log_alpha_node_saturated_gradient_is_zero(self):
-        theta = Tensor(np.array([[1e-30]]), requires_grad=True)
-        logs2 = Tensor(np.array([[0.0]]), requires_grad=True)
-        log_alpha_node(theta, logs2).sum().backward()
-        np.testing.assert_array_equal(logs2.grad, [[0.0]])
+    def test_fused_log_alpha_saturated_gradient_is_zero(self):
+        # raw log alpha 138 (theta 1e-30), then exactly at and just past each clamp edge
+        theta_data = np.array([[1e-30, 1.0, 1.0, 1.0, 1.0]])
+        edge = np.nextafter(LOG_ALPHA_CLAMP, np.inf)
+        logs2_data = np.array([[0.0, LOG_ALPHA_CLAMP, -LOG_ALPHA_CLAMP, edge, -edge]])
+        for node in (kl_svd_node, kl_vbd_node):
+            theta = Tensor(theta_data.copy(), requires_grad=True)
+            logs2 = Tensor(logs2_data.copy(), requires_grad=True)
+            node(theta, logs2).backward()
+            np.testing.assert_array_equal(logs2.grad[0, [0, 3, 4]], 0.0)
+            np.testing.assert_array_equal(theta.grad[0, [0, 3, 4]], 0.0)
+            assert np.all(logs2.grad[0, 1:3] != 0.0) and np.all(theta.grad[0, 1:3] != 0.0)
+
+    def test_fused_matches_composed_graph(self):
+        rng = np.random.default_rng(4)
+        theta_data = rng.uniform(-0.1, 0.1, size=(784, 500))
+        logs2_data = rng.normal(-8.0, 4.0, size=(784, 500))
+        below = np.nextafter(1e-150, 0.0)  # theta^2 just under the floor
+        theta_data[0, :8] = [0.0, 1e-160, below, 1e-150, 1.0, 1.0, 1.0, 1.0]
+        logs2_data[0, :8] = [-8.0, -690.0, -690.0, -690.0, 40.0, -40.0, 41.0, -41.0]
+        assert 1e-150 * 1e-150 == _THETA_SQ_FLOOR and below * below < _THETA_SQ_FLOOR
+        for variant, fused in (("svd", kl_svd_node), ("vbd", kl_vbd_node)):
+            results = []
+            for build in (fused, lambda t, s: composed_kl(t, s, variant)):
+                theta = Tensor(theta_data.copy(), requires_grad=True)
+                logs2 = Tensor(logs2_data.copy(), requires_grad=True)
+                node = build(theta, logs2)
+                (node * 0.37).backward()
+                results.append((node, theta, logs2))
+            (node, theta, logs2), (ref, ref_theta, ref_logs2) = results
+            assert node._parents[0] is theta and node._parents[1] is logs2
+            assert len(node._parents) == 2
+            np.testing.assert_allclose(node.item(), ref.item(), rtol=1e-12, atol=0.0)
+            for got, want in ((theta.grad, ref_theta.grad), (logs2.grad, ref_logs2.grad)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                np.testing.assert_array_equal(got[want == 0.0], 0.0)
+            # the floor rule: theta^2 below it gets no gradient, theta^2 equal to it does
+            assert theta.grad[0, 1] == theta.grad[0, 2] == 0.0 and theta.grad[0, 3] != 0.0
+            assert np.all(logs2.grad[0, 1:6] != 0.0) and np.all(logs2.grad[0, 6:8] == 0.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)

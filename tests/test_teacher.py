@@ -5,12 +5,13 @@ import pytest
 
 from sparsedistill.data import Dataset
 from sparsedistill.errors import (ConsistencyError, FormatError, LengthError,
-                                  ShapeError, StalenessError, TrainingError)
+                                  ShapeError, StalenessError, TrainingError, UsageError)
 from sparsedistill.teacher import (DenseMLP, TeacherConfig, count_parameters,
                                    forward_logits, init_mlp, load_checkpoint,
                                    load_logit_cache, parse_arch, payload_digest,
                                    precompute_logits, read_manifest, save_checkpoint,
                                    save_logit_cache, train_teacher, write_manifest)
+from sparsedistill.tensor import relu, sigmoid
 
 from conftest import make_blobs
 
@@ -86,6 +87,22 @@ class TestInitAndForward:
         np.testing.assert_allclose(forward_logits(net, x),
                                    h @ net.weights[1] + net.biases[1], rtol=1e-12)
 
+    def test_forward_is_exact_and_leaves_inputs_alone(self):
+        rng = np.random.default_rng(2)
+        for activation, act in (("relu", relu), ("sigmoid", sigmoid)):
+            net = init_mlp([6, 5, 4, 3], seed=3, activation=activation)
+            net.biases = [rng.normal(size=b.shape) for b in net.biases]
+            x = rng.normal(size=(7, 6))
+            x_before, biases_before = x.copy(), [b.copy() for b in net.biases]
+            want = x
+            for w, b in zip(net.weights[:-1], net.biases[:-1]):
+                want = act(want @ w + b)
+            want = want @ net.weights[-1] + net.biases[-1]
+            np.testing.assert_array_equal(forward_logits(net, x), want)
+            np.testing.assert_array_equal(x, x_before)
+            for b, before in zip(net.biases, biases_before):
+                np.testing.assert_array_equal(b, before)
+
     def test_forward_shape_check(self):
         net = init_mlp([4, 3, 2], seed=0)
         with pytest.raises(ShapeError):
@@ -98,6 +115,17 @@ class TestInitAndForward:
             DenseMLP([np.zeros((4, 3)), np.zeros((2, 5))], [np.zeros(3), np.zeros(5)])
         with pytest.raises(ConsistencyError):
             DenseMLP([np.zeros((4, 3))], [np.zeros(2)])
+
+
+class TestTeacherConfig:
+    def test_schedule_validation(self):
+        with pytest.raises(UsageError, match="epochs must be at least 1, got 0"):
+            TeacherConfig(epochs=0)
+        with pytest.raises(UsageError, match="batch size must be at least 1, got 0"):
+            TeacherConfig(batch_size=0)
+        for bad in (-1.0, 0.0, float("nan")):
+            with pytest.raises(UsageError, match="lr must be"):
+                TeacherConfig(lr=bad)
 
 
 class TestTrainTeacher:
