@@ -55,11 +55,21 @@ def _sizes(text: str) -> list[int]:
     return out
 
 
+def _seed(text) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise UsageError(f"seeds must be non-negative integers, got {seed}")
+    return seed
+
+
 def _seeds(text: str) -> list[int]:
-    """A bare integer N means seeds 0..N-1; a comma list is used as given."""
+    """A bare integer N means seeds 0..N-1; a comma list of distinct seeds is used as given."""
     text = str(text)
     if "," in text:
-        return [int(p) for p in text.split(",") if p.strip()]
+        seeds = [_seed(p) for p in text.split(",") if p.strip()]
+        if len(set(seeds)) != len(seeds):
+            raise UsageError(f"seed list {text!r} repeats a seed")
+        return seeds
     try:
         n = int(text)
     except ValueError:
@@ -108,7 +118,7 @@ _CONVERTERS = {
     "batch": int,
     "lr": float,
     "tau": float,
-    "seed": int,
+    "seed": _seed,
     "sizes": _sizes,
     "seeds": _seeds,
     "format": _choice("report format", REPORT_FORMATS),
@@ -145,6 +155,9 @@ class Resolved:
             raw = teacher_mod.read_manifest(path)
             for key, value in raw.items():
                 dest = key.replace("-", "_")
+                if dest not in self.flags or dest in ("command", "func", "config"):
+                    raise UsageError(f"{path}: unknown key {key!r}; "
+                                     "it is not a flag of this command")
                 if dest in _CONVERTERS:
                     self.file[dest] = _CONVERTERS[dest](value)
                 else:
@@ -199,25 +212,21 @@ def _write_json(path: Path, obj):
 
 
 def build_loss_config(v) -> LossConfig:
+    bsr_flag = v("bsr")
+    kind = None if bsr_flag in (None, "none") else "l1linf" if bsr_flag == "l1linf" else "l1lq"
     base = LossConfig(temperature=v("temperature"), lambda_t=v("lambda_t"),
-                      lambda_v_max=v("lambda_v"), lambda_g=0.0,
-                      kl_variant=None, bsr_variant=None, q=v("q"),
-                      warmup_epochs=v("warmup_epochs"),
+                      lambda_v_max=v("lambda_v"), q=2.0 if bsr_flag == "l1l2" else v("q"),
+                      bsr_variant=kind, warmup_epochs=v("warmup_epochs"),
                       hint_reverse=v("hint_reverse"))
     cfg = resolve_variant(v("variant"), base, lambda_g=v("lambda_g"))
+    if bsr_flag == "none":
+        cfg = replace(cfg, bsr_variant=None, lambda_g=0.0)
     if v("kl") is not None:
         cfg = replace(cfg, kl_variant=v("kl"))
-    bsr_flag = v("bsr")
-    if bsr_flag is not None:
-        if bsr_flag == "none":
-            cfg = replace(cfg, bsr_variant=None, lambda_g=0.0)
-        else:
-            kind = "l1linf" if bsr_flag == "l1linf" else "l1lq"
-            q = 2.0 if bsr_flag == "l1l2" else cfg.q
-            gate = v("lambda_g")
-            if gate is None:
-                gate = cfg.lambda_g if cfg.lambda_g > 0 else 0.01
-            cfg = replace(cfg, bsr_variant=kind, q=q, lambda_g=gate)
+    if v("lambda_g") is not None and cfg.lambda_g != v("lambda_g"):
+        without = " with --bsr none" if bsr_flag == "none" else ""
+        raise UsageError(f"--lambda-g {v('lambda_g')} would be ignored: "
+                         f"variant {v('variant')!r}{without} has no group term")
     return cfg
 
 

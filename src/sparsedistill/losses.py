@@ -23,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .autograd import Tensor, maximum_of
+from .autograd import Tensor
 from .errors import DomainError, ShapeError, UsageError
-from .student import kl_svd_node, kl_vbd_node
+from .student import kl_svd_node, kl_vbd_node, student_logits_node
 
 __all__ = [
     "LossConfig", "resolve_variant", "warmup_scale", "effective_lambda_v",
@@ -72,23 +72,25 @@ class LossConfig:
 
 def resolve_variant(variant: str, base: LossConfig | None = None,
                     lambda_g: float | None = None) -> LossConfig:
-    """Expand a named training variant into a concrete :class:`LossConfig`."""
+    """Expand a named training variant into a concrete :class:`LossConfig`.
+
+    The group term is on for ``st-*`` (``l1lq`` unless ``base`` names a
+    group-norm variant) and for any variant whose ``base`` names one.  Its
+    weight is ``lambda_g``, else a positive ``base.lambda_g``, else 0.01.
+    """
     cfg = base if base is not None else LossConfig()
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}")
-    if variant == "simple":
-        return replace(cfg, lambda_t=0.0, kl_variant=None, lambda_g=0.0)
-    if variant == "kd":
-        return replace(cfg, kl_variant=None, lambda_g=0.0)
-    kl = "svd" if variant.endswith("svd") else "vbd"
-    if variant.startswith("kd-"):
-        return replace(cfg, kl_variant=kl, lambda_g=0.0)
+    kl = None if variant in ("simple", "kd") else ("svd" if variant.endswith("svd") else "vbd")
+    cfg = replace(cfg, kl_variant=kl, lambda_t=0.0 if variant == "simple" else cfg.lambda_t)
+    if variant.startswith("st-") and cfg.bsr_variant is None:
+        cfg = replace(cfg, bsr_variant="l1lq")
+    if cfg.bsr_variant is None:
+        return replace(cfg, lambda_g=0.0)
     gate = lambda_g
     if gate is None:
         gate = cfg.lambda_g if cfg.lambda_g > 0 else 0.01
-    if cfg.bsr_variant is None:
-        cfg = replace(cfg, bsr_variant="l1lq")
-    return replace(cfg, kl_variant=kl, lambda_g=gate)
+    return replace(cfg, lambda_g=gate)
 
 
 def warmup_scale(epoch: int, warmup_epochs: int) -> float:
@@ -120,38 +122,34 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - m - np.log(np.exp(z - m).sum(axis=1, keepdims=True))
 
 
-def _log_softmax_node(z: Tensor) -> Tensor:
-    # The shift is treated as a constant; the derivative of log-sum-exp is
-    # unchanged by it, so gradients stay exact.
-    m = Tensor(z.data.max(axis=1, keepdims=True))
-    shifted = z - m
-    return shifted - shifted.exp().sum(axis=1, keepdims=True).log()
+def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(value, log-softmax, labels)``: the one formula behind both CE entry points."""
+    labels = _check_labels(labels, logits.shape[1])
+    logp = _log_softmax(logits)
+    return float(-logp[np.arange(len(labels)), labels].mean()), logp, labels
 
 
 def cross_entropy(logits: np.ndarray, labels) -> float:
     """Mean negative log-likelihood of the true class."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, logits.shape[1])
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(labels)), labels].mean())
+    return _cross_entropy(np.asarray(logits, dtype=np.float64), labels)[0]
 
 
 def cross_entropy_node(logits: Tensor, labels) -> Tensor:
-    labels = _check_labels(labels, logits.data.shape[1])
-    onehot = np.zeros(logits.data.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    logp = _log_softmax_node(logits)
-    return (logp * Tensor(onehot)).sum() * (-1.0 / max(len(labels), 1))
+    """Graph node of :func:`cross_entropy`; gradient ``g * (softmax - onehot) / N``."""
+    value, logp, labels = _cross_entropy(logits.data, labels)
+
+    def back(g):
+        d = np.exp(logp)
+        d[np.arange(len(labels)), labels] -= 1.0
+        d *= g / max(len(labels), 1)
+        logits._accumulate(d)
+
+    req = logits.requires_grad
+    return Tensor(value, req, (logits,), back if req else None)
 
 
-def hint_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
-              temperature: float, reverse: bool = False) -> float:
-    """``2 T^2`` times the batch-mean KL between softened class distributions.
-
-    By default the student's distribution is the one under the log
-    (gradients reshape the student toward the teacher); ``reverse`` swaps
-    the roles.
-    """
+def _hint(student_logits: np.ndarray, teacher_logits, temperature: float, reverse: bool):
+    """``(value, student log-probs, teacher log-probs, per-row KL)`` of the hint term."""
     if temperature <= 0:
         raise DomainError(f"temperature must be positive, got {temperature}")
     zs = np.asarray(student_logits, dtype=np.float64) / temperature
@@ -163,24 +161,38 @@ def hint_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
         kl_rows = (np.exp(lpt) * (lpt - lps)).sum(axis=1)
     else:
         kl_rows = (np.exp(lps) * (lps - lpt)).sum(axis=1)
-    return float(2.0 * temperature ** 2 * kl_rows.mean())
+    return float(2.0 * temperature ** 2 * kl_rows.mean()), lps, lpt, kl_rows
+
+
+def hint_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
+              temperature: float, reverse: bool = False) -> float:
+    """``2 T^2`` times the batch-mean KL between softened class distributions.
+
+    By default the student's distribution is the one under the log
+    (gradients reshape the student toward the teacher); ``reverse`` swaps
+    the roles.
+    """
+    return _hint(student_logits, teacher_logits, temperature, reverse)[0]
 
 
 def hint_node(student_logits: Tensor, teacher_logits: np.ndarray,
               temperature: float, reverse: bool = False) -> Tensor:
-    if temperature <= 0:
-        raise DomainError(f"temperature must be positive, got {temperature}")
-    zt = np.asarray(teacher_logits, dtype=np.float64) / temperature
-    if student_logits.data.shape != zt.shape:
-        raise ShapeError(f"logit shapes differ: {student_logits.data.shape} vs {zt.shape}")
-    lps = _log_softmax_node(student_logits * (1.0 / temperature))
-    lpt = Tensor(_log_softmax(zt))
-    if reverse:
-        pt = Tensor(np.exp(lpt.data))
-        kl_rows = (pt * (lpt - lps)).sum(axis=1)
-    else:
-        kl_rows = (lps.exp() * (lps - lpt)).sum(axis=1)
-    return kl_rows.mean() * (2.0 * temperature ** 2)
+    """Graph node of :func:`hint_loss`.  With ``p``/``q`` the student's and the
+    teacher's softened distributions, the gradient is ``g * 2T/N`` times
+    ``p * (log p - log q - KL_row)``, or ``p - q`` when ``reverse``."""
+    value, lps, lpt, kl_rows = _hint(student_logits.data, teacher_logits, temperature, reverse)
+
+    def back(g):
+        p = np.exp(lps)
+        if reverse:
+            d = p - np.exp(lpt)
+        else:
+            d = p * (lps - lpt - kl_rows[:, None])
+        d *= g * 2.0 * temperature / max(len(lps), 1)
+        student_logits._accumulate(d)
+
+    req = student_logits.requires_grad
+    return Tensor(value, req, (student_logits,), back if req else None)
 
 
 # -- mixed-norm group regulariser ----------------------------------------------
@@ -276,17 +288,48 @@ def make_bsr_context(teacher_weights, student_shapes, variant: str, q: float = 2
 
 
 def bsr_node(ctx: BsrContext, student_thetas: list[Tensor]) -> Tensor:
-    """Graph version of :func:`bsr` over the same stack, never materialising
-    the padded tensor; matches the numeric value on the means to rounding."""
+    """Graph node of :func:`bsr` over the same stack, never materialising the
+    padded tensor.  ``l1lq`` gradient: ``g * S_i^(1/q-1) * |theta|^(q-1) *
+    sign(theta)`` with ``S_i`` the row's sum of ``|w|^q``, 0 where ``S_i <= 0``.
+    ``l1linf``: ``g * sign(theta)`` at each row's winning entry only; the
+    teacher, then earlier layers, win ties, and the first argmax in a row.
+    """
+    thetas = [t.data for t in student_thetas]
+    q = float(ctx.q)
     if ctx.variant == "l1lq":
-        total = Tensor(ctx.teacher_row_agg)
-        for theta in student_thetas:
-            total = total + (theta.abs() ** ctx.q).sum(axis=1).pad_to(ctx.m)
-        return total.qroot(ctx.q).sum()
-    parts = [Tensor(ctx.teacher_row_agg)]
-    for theta in student_thetas:
-        parts.append(theta.abs().max(axis=1).pad_to(ctx.m))
-    return maximum_of(parts).sum()
+        rows = ctx.teacher_row_agg.copy()
+        for theta in thetas:
+            rows[:theta.shape[0]] += (np.abs(theta) ** q).sum(axis=1)
+        positive = rows > 0
+        root = np.where(positive, np.power(np.maximum(rows, 1e-300), 1.0 / q), 0.0)
+        value = root.sum()
+
+        def back(g):
+            row_g = g * np.where(positive, root / np.where(positive, rows, 1.0), 0.0) / q
+            for t, theta in zip(student_thetas, thetas):
+                if t.requires_grad:
+                    d = row_g[:theta.shape[0], None] * q * np.abs(theta) ** (q - 1.0)
+                    t._accumulate(d * np.sign(theta))
+    else:
+        best, owner, cols = ctx.teacher_row_agg.copy(), np.full(ctx.m, -1), []
+        for l, theta in enumerate(thetas):
+            a = np.abs(theta)
+            cols.append(a.argmax(axis=1))
+            row_max = a[np.arange(len(a)), cols[-1]]
+            wins = np.flatnonzero(row_max > best[:len(a)])  # strict: earlier ones win ties
+            best[wins], owner[wins] = row_max[wins], l
+        value = best.sum()
+
+        def back(g):
+            for l, (t, theta, col) in enumerate(zip(student_thetas, thetas, cols)):
+                if t.requires_grad:
+                    rows = np.flatnonzero(owner[:len(theta)] == l)
+                    d = np.zeros_like(theta)
+                    d[rows, col[rows]] = g * np.sign(theta[rows, col[rows]])
+                    t._accumulate(d)
+
+    req = any(t.requires_grad for t in student_thetas)
+    return Tensor(value, req, tuple(student_thetas), back if req else None)
 
 
 # -- combined objective ----------------------------------------------------------
@@ -302,8 +345,6 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
     triples.  Returns ``(loss, parts)`` where ``parts`` maps each term
     name to its unweighted float value plus the effective KL weight.
     """
-    from .student import student_logits_node
-
     if rng is None:
         raise UsageError("total_loss needs an rng stream for the noise draws")
     xb = np.asarray(xb, dtype=np.float64)

@@ -51,8 +51,11 @@ class Adam(object):
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient in parameter {i}", param=i)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * np.square(g)
+            # in place: reallocating the moments each step fragments the heap
+            self._m[i] *= self.beta1
+            self._m[i] += (1.0 - self.beta1) * g
+            self._v[i] *= self.beta2
+            self._v[i] += (1.0 - self.beta2) * np.square(g)
             m_hat = self._m[i] / (1.0 - self.beta1 ** self.t)
             v_hat = self._v[i] / (1.0 - self.beta2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -74,6 +77,8 @@ class StudentTrainConfig:
         check_schedule(self.epochs, self.batch_size, self.lr)
         if np.isnan(self.tau):
             raise UsageError(f"tau must be a number, got {self.tau}")
+        if self.grad_clip is not None and not (np.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise UsageError(f"grad clip must be a finite number > 0, got {self.grad_clip}")
 
 
 def check_schedule(epochs: int, batch_size: int, lr: float) -> None:

@@ -201,6 +201,14 @@ _ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid}
 _VAR_FLOOR = 1e-18
 
 
+def _noisy_forward(x, theta, log_sigma2, bias, eps):
+    """``(out, x^2, sigma^2, sd)`` with ``out = x @ theta + b + sd * eps`` and
+    ``sd = sqrt(x^2 @ sigma^2 + floor)``: the local reparameterisation trick."""
+    x_sq, s2 = np.square(x), np.exp(log_sigma2)
+    sd = np.sqrt(x_sq @ s2 + _VAR_FLOOR)
+    return x @ theta + bias + sd * eps, x_sq, s2, sd
+
+
 def variational_forward(layer: VariationalDenseLayer, x: np.ndarray, *,
                         train: bool, rng: RngStream | None = None,
                         mask: np.ndarray | None = None) -> np.ndarray:
@@ -216,9 +224,8 @@ def variational_forward(layer: VariationalDenseLayer, x: np.ndarray, *,
     if train:
         if rng is None:
             raise ConsistencyError("training forward needs an rng for the noise draw")
-        m = x @ layer.theta + layer.bias
-        v = np.square(x) @ np.exp(layer.log_sigma2)
-        return m + np.sqrt(v + _VAR_FLOOR) * rng.normal(*m.shape)
+        eps = rng.normal(x.shape[0], layer.theta.shape[1])
+        return _noisy_forward(x, layer.theta, layer.log_sigma2, layer.bias, eps)[0]
     w = layer.theta if mask is None else layer.theta * mask
     return x @ w + layer.bias
 
@@ -238,27 +245,44 @@ def student_logits(net: StudentNet, x: np.ndarray, *, train: bool = False,
     return out
 
 
-def variational_forward_node(theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,
-                             x: np.ndarray, eps: np.ndarray) -> Tensor:
-    """Graph version of the noisy forward; ``eps`` is drawn outside the graph."""
-    x_node = Tensor(np.asarray(x, dtype=np.float64))
-    m = x_node @ theta_t + bias_t
-    v = Tensor(np.square(x_node.data)) @ log_sigma2_t.exp()
-    return m + (v + _VAR_FLOOR).sqrt() * Tensor(eps)
+def _noisy_layer_node(x, theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,
+                      eps: np.ndarray) -> Tensor:
+    """One graph node for a noisy layer, with its closed-form gradient.
+
+    ``x`` is the batch as an array, or the previous layer's node.  With
+    ``dv = g * eps / (2 sd)``: ``dtheta = x.T @ g``, ``db = sum_rows g``,
+    ``dlog_sigma2 = (x^2).T @ dv * sigma^2`` and, when ``x`` is a node,
+    ``dx = g @ theta.T + 2x * (dv @ sigma^2.T)``.
+    """
+    x_t = x if isinstance(x, Tensor) else None
+    xd = x if x_t is None else x.data
+    out, x_sq, s2, sd = _noisy_forward(xd, theta_t.data, log_sigma2_t.data, bias_t.data, eps)
+    parents = (theta_t, log_sigma2_t, bias_t) + (() if x_t is None else (x_t,))
+    req = any(p.requires_grad for p in parents)
+
+    def back(g):
+        dv = g * eps * 0.5 / sd
+        if theta_t.requires_grad:
+            theta_t._accumulate(xd.T @ g)
+        if bias_t.requires_grad:
+            bias_t._accumulate(g.sum(axis=0))
+        if log_sigma2_t.requires_grad:
+            log_sigma2_t._accumulate((x_sq.T @ dv) * s2)
+        if x_t is not None and x_t.requires_grad:
+            dx = g @ theta_t.data.T
+            dx += 2.0 * xd * (dv @ s2.T)
+            x_t._accumulate(dx)
+
+    return Tensor(out, req, parents, back if req else None)
 
 
 def student_logits_node(param_ts: list[tuple[Tensor, Tensor, Tensor]], x: np.ndarray,
                         eps_list: list[np.ndarray], activation: str = "relu") -> Tensor:
-    out_data = np.asarray(x, dtype=np.float64)
-    out = None
+    """Graph version of the noisy :func:`student_logits`; ``eps_list`` holds each
+    layer's noise, drawn outside the graph."""
+    out = np.asarray(x, dtype=np.float64)
     for i, (theta_t, logs2_t, bias_t) in enumerate(param_ts):
-        src = out_data if out is None else out
-        if isinstance(src, Tensor):
-            m = src @ theta_t + bias_t
-            v = (src * src) @ logs2_t.exp()
-            out = m + (v + _VAR_FLOOR).sqrt() * Tensor(eps_list[i])
-        else:
-            out = variational_forward_node(theta_t, logs2_t, bias_t, src, eps_list[i])
+        out = _noisy_layer_node(out, theta_t, logs2_t, bias_t, eps_list[i])
         if i < len(param_ts) - 1:
             out = out.relu() if activation == "relu" else out.sigmoid()
     return out

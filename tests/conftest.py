@@ -100,6 +100,13 @@ def finite_difference_check(build, params, sample: int | None = None,
     return worst
 
 
+def assert_matches_reference(got: np.ndarray, want: np.ndarray, rel: float = 1e-12) -> None:
+    """A fused node's gradient against its composed-graph reference: within ``rel``
+    of the reference's largest entry, and exactly zero wherever the reference is."""
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rel * np.max(np.abs(want)))
+    np.testing.assert_array_equal(got[want == 0.0], 0.0)
+
+
 def net_param_tensors(net) -> list:
     """Wrap a student net's arrays as (theta, log_sigma2, bias) leaf triples."""
     return [(Tensor(l.theta, requires_grad=True),

@@ -113,6 +113,19 @@ class TestArgumentErrors:
             main([])
         assert err.value.code == 2
 
+    def test_negative_seed(self, corpus, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train-student", *data_flags(corpus), "--variant", "simple", "--seed", "-1"])
+        assert err.value.code == 2
+        assert "got -1" in capsys.readouterr().err
+
+    def test_negative_or_repeated_seed_in_list(self, corpus, capsys):
+        for seeds, named in (("1,-2", "got -2"), ("1,1,2", "'1,1,2' repeats")):
+            with pytest.raises(SystemExit) as err:
+                main(["lowdata", *data_flags(corpus), "--seeds", seeds])
+            assert err.value.code == 2
+            assert named in capsys.readouterr().err
+
 
 class TestUsageExitCodes:
     def test_missing_data_flags(self):
@@ -186,6 +199,27 @@ class TestBadValuesExit2:
     def test_nan_tau(self, corpus, tmp_path):
         assert self.student(corpus, "--variant", "simple", "--tau", "nan",
                             "--out", str(tmp_path)) == 2
+
+    def test_nonpositive_clip(self, corpus, tmp_path, capsys):
+        for value in ("-1", "0"):
+            assert self.student(corpus, "--variant", "simple", "--clip", value,
+                                "--out", str(tmp_path)) == 2
+            assert f"got {float(value)}" in capsys.readouterr().err
+
+    def test_group_weight_the_run_would_ignore(self, corpus, teacher_run, tmp_path, capsys):
+        for variant, flags in (("simple", ()), ("kd", ()), ("kd-vbd", ()),
+                               ("st-svd", ("--bsr", "none"))):
+            assert self.student(corpus, "--variant", variant, *flags, "--lambda-g", "0.5",
+                                "--out", str(tmp_path), teacher_run=teacher_run) == 2
+            assert f"variant {variant!r}" in capsys.readouterr().err
+
+    def test_group_weight_with_explicit_group_variant(self, corpus, teacher_run, tmp_path):
+        for lambda_g, weight in ((("--lambda-g", "0.5"), 0.5), ((), 0.01)):
+            out = tmp_path / str(weight)
+            assert self.student(corpus, "--variant", "kd", "--bsr", "l1lq", *lambda_g,
+                                "--out", str(out), teacher_run=teacher_run) == 0
+            loss = json.loads((out / "config.json").read_text())["loss"]
+            assert loss["bsr_variant"] == "l1lq" and loss["lambda_g"] == weight
 
 
 class TestRuntimeExitCodes:
@@ -280,6 +314,26 @@ class TestStudentArtifacts:
         config = json.loads((out / "config.json").read_text())
         assert config["epochs"] == 1
         assert config["seed"] == 5
+
+    def test_config_file_path_keys(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "run"
+        cfg.write_text(f"train_images={corpus['train_images']}\n"
+                       f"train-labels={corpus['train_labels']}\nout={out}\n")
+        assert main(["train-student", "--config", str(cfg), "--arch", "16-8-3",
+                     "--variant", "simple", "--epochs", "1", "--batch", "32"]) == 0
+        assert (out / "student.ckpt").exists()
+
+    def test_unknown_config_key(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        for line in ("temprature=5", "sizes=100", "func=x"):
+            cfg.write_text(line + "\n")
+            rc = main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                       "--variant", "simple", "--epochs", "1", "--batch", "32",
+                       "--config", str(cfg), "--out", str(tmp_path / "run")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert str(cfg) in err and repr(line.split("=")[0]) in err
 
 
 class TestEvaluate:

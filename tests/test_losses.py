@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_autograd
 from sparsedistill.autograd import Tensor
 from sparsedistill.errors import DomainError, ShapeError, UsageError
-from sparsedistill.losses import (VARIANTS, BsrContext, LossConfig, bsr, bsr_node,
+from sparsedistill.losses import (VARIANTS, BsrContext, LossConfig, _log_softmax, bsr, bsr_node,
                                   concat_weights, cross_entropy, cross_entropy_node,
                                   effective_lambda_v, hint_loss, hint_node,
                                   make_bsr_context, resolve_variant, total_loss,
@@ -15,12 +16,49 @@ from sparsedistill.losses import (VARIANTS, BsrContext, LossConfig, bsr, bsr_nod
 from sparsedistill.student import init_student
 from sparsedistill.tensor import RngStream
 
-from conftest import finite_difference_check, net_param_tensors
+from conftest import assert_matches_reference, finite_difference_check, net_param_tensors
 
 LN_10 = 2.3025850929940457
 CE_DIAG2 = 0.2395447662218845          # logit 2 on the true class, 0 elsewhere
 CE_123_AT_1 = 1.4076059644443803       # logits [1, 2, 3], true class 1
 HINT_UNIT = 0.92423431452001952        # student [1, 0] vs teacher [0, 1] at T=1
+
+
+# -- each term composed from single graph operations of the frozen reference engine,
+#    the references for the fused nodes ------------------------------------------------
+
+
+def composed_log_softmax(z):
+    shifted = z - reference_autograd.Tensor(z.data.max(axis=1, keepdims=True))
+    return shifted - shifted.exp().sum(axis=1, keepdims=True).log()
+
+
+def composed_cross_entropy(logits, labels):
+    onehot = np.zeros(logits.data.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    logp = composed_log_softmax(logits)
+    return (logp * reference_autograd.Tensor(onehot)).sum() * (-1.0 / max(len(labels), 1))
+
+
+def composed_hint(student_logits, teacher_logits, temperature, reverse):
+    lps = composed_log_softmax(student_logits * (1.0 / temperature))
+    lpt = reference_autograd.Tensor(_log_softmax(teacher_logits / temperature))
+    if reverse:
+        kl_rows = (reference_autograd.Tensor(np.exp(lpt.data)) * (lpt - lps)).sum(axis=1)
+    else:
+        kl_rows = (lps.exp() * (lps - lpt)).sum(axis=1)
+    return kl_rows.mean() * (2.0 * temperature ** 2)
+
+
+def composed_bsr(ctx, thetas):
+    if ctx.variant == "l1lq":
+        total = reference_autograd.Tensor(ctx.teacher_row_agg)
+        for theta in thetas:
+            total = total + (theta.abs() ** ctx.q).sum(axis=1).pad_to(ctx.m)
+        return total.qroot(ctx.q).sum()
+    parts = [reference_autograd.Tensor(ctx.teacher_row_agg)]
+    parts += [theta.abs().max(axis=1).pad_to(ctx.m) for theta in thetas]
+    return reference_autograd.maximum_of(parts).sum()
 
 
 class TestLossConfig:
@@ -86,6 +124,13 @@ class TestResolveVariant:
     def test_st_keeps_preset_group_variant(self):
         base = LossConfig(bsr_variant="l1linf")
         assert resolve_variant("st-vbd", base).bsr_variant == "l1linf"
+
+    def test_named_group_variant_turns_the_term_on_for_any_variant(self):
+        for name in ("simple", "kd", "kd-vbd"):
+            assert resolve_variant(name, lambda_g=0.5).lambda_g == 0.0
+            cfg = resolve_variant(name, LossConfig(bsr_variant="l1linf"))
+            assert cfg.bsr_variant == "l1linf" and cfg.lambda_g == 0.01
+            assert resolve_variant(name, LossConfig(bsr_variant="l1lq"), lambda_g=0.5).lambda_g == 0.5
 
     def test_explicit_group_weight_is_honored(self):
         assert resolve_variant("st-svd", lambda_g=0.5).lambda_g == 0.5
@@ -494,3 +539,75 @@ class TestTotalLoss:
         rev = total_loss(params, xb, yb, rows, rcfg, epoch=0, n_train=100,
                          bsr_ctx=ctx, rng=RngStream(0))[1]["hint"]
         assert fwd != rev
+
+
+class TestFusedNodesMatchComposedGraphs:
+    """Each fused term against the same term composed from single graph operations,
+    at the paper's shapes: batch 512, 10 classes, a 784x500 first student layer."""
+
+    def check(self, fused, composed, *arrays):
+        """Build both on fresh leaves, backpropagate 0.37 times each, compare; returns
+        the fused node's leaves."""
+        results = []
+        for engine, build in ((Tensor, fused), (reference_autograd.Tensor, composed)):
+            leaves = [engine(a.copy(), requires_grad=True) for a in arrays]
+            node = build(*leaves)
+            (node * 0.37).backward()
+            results.append((node, leaves))
+        (node, leaves), (want, want_leaves) = results
+        assert node._parents == tuple(leaves)
+        np.testing.assert_allclose(node.item(), want.item(), rtol=1e-12, atol=0.0)
+        for leaf, want_leaf in zip(leaves, want_leaves):
+            assert_matches_reference(leaf.grad, want_leaf.grad)
+        return leaves
+
+    def test_cross_entropy(self):
+        rng = np.random.default_rng(30)
+        labels = rng.integers(0, 10, size=512)
+        self.check(lambda z: cross_entropy_node(z, labels),
+                   lambda z: composed_cross_entropy(z, labels), rng.normal(size=(512, 10)) * 4)
+
+    def test_hint_both_directions(self):
+        rng = np.random.default_rng(31)
+        zs, zt = rng.normal(size=(512, 10)) * 4, rng.normal(size=(512, 10)) * 4
+        zt[0] = zs[0]  # a row where the distributions agree
+        for reverse in (False, True):
+            self.check(lambda z: hint_node(z, zt, 2.0, reverse),
+                       lambda z: composed_hint(z, zt, 2.0, reverse), zs)
+
+    @staticmethod
+    def paper_weights(seed):
+        rng = np.random.default_rng(seed)
+        teacher = [rng.normal(size=s) * 0.05 for s in ((784, 1200), (1200, 1200), (1200, 10))]
+        student = [rng.normal(size=s) * 0.05 for s in ((784, 500), (500, 50), (50, 10))]
+        return teacher, student, [s.shape for s in student]
+
+    def test_l1lq(self):
+        teacher, student, shapes = self.paper_weights(32)
+        for w in teacher + student:
+            w[3] = 0.0  # a row that is zero in every matrix of both networks
+        student[0][5, :7] = 0.0
+        for q in (1.0, 2.0, 3.0):
+            ctx = make_bsr_context(teacher, shapes, "l1lq", q)
+            thetas = self.check(lambda *t: bsr_node(ctx, list(t)),
+                                lambda *t: composed_bsr(ctx, list(t)), *student)
+            assert all(np.all(t.grad[3] == 0.0) for t in thetas)
+            assert np.all(thetas[0].grad[5, :7] == 0.0) and np.all(thetas[0].grad[5, 7:] != 0.0)
+
+    def test_l1linf_ties(self):
+        teacher, student, shapes = self.paper_weights(33)
+        agg = make_bsr_context(teacher, shapes, "l1linf").teacher_row_agg
+        student[0][1] *= 0.01
+        student[0][1, 4] = -agg[1]          # equal to the teacher's row maximum: teacher wins
+        student[1][2, [2, 7]] = 9.0         # two equal entries in one row: the first wins
+        student[0][6, 3] = student[1][6, 8] = -9.0  # equal across layers: the earlier wins
+        student[0][7] = 0.0
+        student[0][7, 1] = 9.0              # theta = 0 entries beside the winner
+        ctx = make_bsr_context(teacher, shapes, "l1linf")
+        thetas = self.check(lambda *t: bsr_node(ctx, list(t)),
+                            lambda *t: composed_bsr(ctx, list(t)), *student)
+        g0, g1 = thetas[0].grad, thetas[1].grad
+        assert np.all(g0[1] == 0.0)
+        assert g1[2, 2] == 0.37 and np.count_nonzero(g1[2]) == 1
+        assert g0[6, 3] == -0.37 and np.all(g1[6] == 0.0)
+        assert g0[7, 1] == 0.37 and np.count_nonzero(g0[7]) == 1

@@ -43,6 +43,12 @@ class TestStudentTrainConfig:
             quick_cfg(tau=float("nan"))
         quick_cfg(tau=float("inf"))  # keeps every weight
 
+    def test_grad_clip_must_be_finite_and_positive(self):
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match=f"grad clip must be .*got {bad}"):
+                quick_cfg(grad_clip=bad)
+        assert quick_cfg(grad_clip=0.5).grad_clip == 0.5
+
 
 class TestAdam:
     def test_missing_gradient_leaves_parameter_untouched(self):
@@ -88,6 +94,22 @@ class TestAdam:
         Adam([p], lr=0.01).step()
         assert p.data is buf
 
+    def test_moments_update_in_place_and_match_the_formula(self):
+        rng = np.random.default_rng(5)
+        p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        want, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        opt = Adam([p], lr=0.01)
+        moments = (opt._m[0], opt._v[0])
+        for t in range(1, 4):
+            g = rng.normal(size=(4, 3))
+            p.grad = g.copy()
+            opt.step()
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * np.square(g)
+            want -= 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        np.testing.assert_array_equal(p.data, want)
+        assert opt._m[0] is moments[0] and opt._v[0] is moments[1]
+
     def test_zero_grad_resets_to_none(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([2.0])
@@ -101,7 +123,7 @@ class TestAdam:
             opt = Adam([p], lr=0.02)
             for _ in range(50):
                 opt.zero_grad()
-                ((p - 2.0) * (p - 2.0)).sum().backward()
+                ((p + -2.0) * (p + -2.0)).sum().backward()
                 opt.step()
             return p.data.copy()
 

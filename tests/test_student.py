@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sparsedistill.autograd import Tensor, maximum
+import reference_autograd
+from sparsedistill.autograd import Tensor
 from sparsedistill.errors import ConsistencyError, FormatError, ShapeError
 from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
                                    VariationalDenseLayer, _THETA_SQ_FLOOR,
@@ -15,7 +16,7 @@ from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
 from sparsedistill.teacher import save_checkpoint, init_mlp
 from sparsedistill.tensor import RngStream
 
-from conftest import finite_difference_check, net_param_tensors
+from conftest import assert_matches_reference, finite_difference_check, net_param_tensors
 
 # Frozen single-weight penalty values from tests/make_oracles.py (50-digit
 # arithmetic, printed to 17 significant digits).
@@ -44,13 +45,28 @@ VBD_TABLE = {
 
 
 def composed_kl(theta_t, log_sigma2_t, variant):
-    """Reference for the fused penalty nodes, composed from single graph operations."""
-    square = maximum(theta_t * theta_t, Tensor(np.float64(_THETA_SQ_FLOOR)))
+    """Reference for the fused penalty nodes, composed from single graph operations
+    of the frozen reference engine (pass ``reference_autograd.Tensor`` leaves)."""
+    floor = reference_autograd.Tensor(np.float64(_THETA_SQ_FLOOR))
+    square = reference_autograd.maximum(theta_t * theta_t, floor)
     la = (log_sigma2_t - square.log()).clip(-LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
     half = ((la * -1.0).exp() + 1.0).log() * 0.5
     if variant == "vbd":
         return half.sum()
     return ((la * -K3 - K2).sigmoid() * K1 + half).sum()
+
+
+def composed_student_logits(param_ts, x, eps_list, activation="relu"):
+    """Reference for the fused noisy-layer nodes, composed from single graph operations
+    of the frozen reference engine (pass ``reference_autograd.Tensor`` leaves)."""
+    out = reference_autograd.Tensor(np.asarray(x, dtype=np.float64))
+    for i, (theta, log_sigma2, bias) in enumerate(param_ts):
+        x_sq = out * out if out.requires_grad else reference_autograd.Tensor(np.square(out.data))
+        v = x_sq @ log_sigma2.exp()
+        out = out @ theta + bias + (v + 1e-18).sqrt() * reference_autograd.Tensor(eps_list[i])
+        if i < len(param_ts) - 1:
+            out = out.relu() if activation == "relu" else out.sigmoid()
+    return out
 
 
 def layer_fixture():
@@ -220,9 +236,10 @@ class TestKlGraphNodes:
         assert 1e-150 * 1e-150 == _THETA_SQ_FLOOR and below * below < _THETA_SQ_FLOOR
         for variant, fused in (("svd", kl_svd_node), ("vbd", kl_vbd_node)):
             results = []
-            for build in (fused, lambda t, s: composed_kl(t, s, variant)):
-                theta = Tensor(theta_data.copy(), requires_grad=True)
-                logs2 = Tensor(logs2_data.copy(), requires_grad=True)
+            composed = (reference_autograd.Tensor, lambda t, s: composed_kl(t, s, variant))
+            for engine, build in ((Tensor, fused), composed):
+                theta = engine(theta_data.copy(), requires_grad=True)
+                logs2 = engine(logs2_data.copy(), requires_grad=True)
                 node = build(theta, logs2)
                 (node * 0.37).backward()
                 results.append((node, theta, logs2))
@@ -314,14 +331,44 @@ class TestForward:
         numeric = student_logits(net, x, train=True, rng=RngStream(21))
         np.testing.assert_allclose(node.data, numeric, rtol=1e-12)
 
+    def test_fused_layers_match_composed_graph(self):
+        # 784-500-10 at batch 512; the second layer's input is a node that needs a gradient
+        rng = np.random.default_rng(13)
+        net = init_student([784, 500, 10], seed=3)
+        for layer in net.layers:
+            layer.log_sigma2 = rng.normal(-6.0, 2.0, size=layer.shape)
+        x = rng.random((512, 784))
+        x[:, :20] = 0.0  # blank pixels: exactly-zero gradient rows
+        eps = [rng.normal(size=(512, h)) for h in (500, 10)]
+        upstream = rng.normal(size=(512, 10))
+        for activation in ("relu", "sigmoid"):
+            results = []
+            for engine, build in ((Tensor, student_logits_node),
+                                  (reference_autograd.Tensor, composed_student_logits)):
+                params = [tuple(engine(a.copy(), requires_grad=True)
+                                for a in (l.theta, l.log_sigma2, l.bias)) for l in net.layers]
+                node = build(params, x, eps, activation)
+                (node * engine(upstream)).sum().backward()
+                results.append((node, params))
+            (node, params), (want, want_params) = results
+            hidden = node._parents[3]
+            assert node._parents[:3] == params[1] and hidden._parents[0]._parents == params[0]
+            np.testing.assert_allclose(node.data, want.data, rtol=1e-12, atol=0.0)
+            for triple, want_triple in zip(params, want_params):
+                for leaf, want_leaf in zip(triple, want_triple):
+                    assert_matches_reference(leaf.grad, want_leaf.grad)
+            assert np.all(params[0][0].grad[:20] == 0.0)
+
     def test_graph_forward_gradcheck(self):
         net = init_student([4, 3, 2], seed=8)
         x = np.random.default_rng(8).normal(size=(5, 4))
         eps = [np.random.default_rng(9).normal(size=(5, l.shape[1])) for l in net.layers]
         params = net_param_tensors(net)
         flat = [t for triple in params for t in triple]
-        finite_difference_check(
-            lambda: (student_logits_node(params, x, eps) ** 2).sum().mean(), flat)
+        def build():
+            out = student_logits_node(params, x, eps)
+            return (out * out).sum()
+        finite_difference_check(build, flat)
 
 
 class TestStudentCheckpoints:
