@@ -10,15 +10,15 @@ footprint in compressed sparse row form.
 """
 
 from .autograd import Tensor
-from .data import Dataset, batch_iter, load_idx, subset, subset_indices, write_idx
+from .checkpoint import parse_arch
+from .data import Dataset, batch_iter, load_idx, subset_indices, write_idx
 from .errors import (ConsistencyError, DomainError, FormatError, LengthError,
                      ShapeError, StalenessError, TrainingError, UsageError)
-from .losses import (BsrContext, ConcatTensor, LossConfig, bsr, concat_weights,
-                     cross_entropy, hint_loss, make_bsr_context, resolve_variant,
-                     total_loss, warmup_scale)
+from .losses import (BsrContext, LossConfig, cross_entropy, hint_loss, make_bsr_context,
+                     resolve_variant, total_loss, warmup_scale)
 from .metrics import (SparsityReport, compression_ratio, csr_bytes, dense_bytes,
                       emit_report, footprint, inference_time, per_layer_sparsity_pct,
-                      remaining_parameters, sparsity_ratio, sparsity_summary, top1_error)
+                      remaining_parameters, sparsity_ratio, top1_error)
 from .optim import (Adam, StudentTrainConfig, evaluate_student, lowdata_sweep,
                     summarize_sweep, train_student)
 from .student import (StudentNet, VariationalDenseLayer, alpha_log, init_student,
@@ -26,15 +26,15 @@ from .student import (StudentNet, VariationalDenseLayer, alpha_log, init_student
                       save_student, student_logits)
 from .teacher import (DenseMLP, LogitCache, TeacherConfig, count_parameters,
                       forward_logits, init_mlp, load_checkpoint, load_logit_cache,
-                      parse_arch, payload_digest, precompute_logits, save_checkpoint,
+                      payload_digest, precompute_logits, save_checkpoint,
                       save_logit_cache, train_teacher)
-from .tensor import RngStream, row_softmax
+from .tensor import RngStream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "RngStream", "row_softmax",
-    "Dataset", "load_idx", "write_idx", "subset", "subset_indices", "batch_iter",
+    "Tensor", "RngStream",
+    "Dataset", "load_idx", "write_idx", "subset_indices", "batch_iter",
     "ShapeError", "DomainError", "FormatError", "LengthError", "ConsistencyError",
     "StalenessError", "TrainingError", "UsageError",
     "DenseMLP", "TeacherConfig", "LogitCache", "init_mlp", "forward_logits",
@@ -45,11 +45,10 @@ __all__ = [
     "prune_mask", "prune_masks", "kl_svd", "kl_vbd", "student_logits",
     "save_student", "load_student",
     "LossConfig", "resolve_variant", "warmup_scale", "cross_entropy", "hint_loss",
-    "ConcatTensor", "concat_weights", "bsr", "BsrContext", "make_bsr_context",
-    "total_loss",
+    "BsrContext", "make_bsr_context", "total_loss",
     "Adam", "StudentTrainConfig", "train_student", "evaluate_student",
     "lowdata_sweep", "summarize_sweep",
     "SparsityReport", "emit_report", "top1_error", "sparsity_ratio",
-    "sparsity_summary", "per_layer_sparsity_pct", "compression_ratio", "csr_bytes",
+    "per_layer_sparsity_pct", "compression_ratio", "csr_bytes",
     "dense_bytes", "footprint", "remaining_parameters", "inference_time",
 ]

@@ -125,7 +125,7 @@ class Tensor:
 
         return Tensor(self.data @ other.data, req, (self, other), back if req else None)
 
-    # -- elementwise functions and the full sum ---------------------------
+    # -- activations and the full sum ------------------------------------
 
     def relu(self):
         req = self.requires_grad

@@ -10,24 +10,21 @@ resolved configuration.  Exit codes: 0 on success, 2 on usage problems,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import teacher as teacher_mod
+from .checkpoint import parse_arch, read_manifest
 from .data import load_idx
-from .errors import UsageError
+from .errors import FormatError, UsageError
 from .losses import LossConfig, VARIANTS, resolve_variant
 from .metrics import (SparsityReport, REPORT_FORMATS, compression_ratio, emit_report,
-                      footprint, inference_time, remaining_parameters)
+                      footprint, inference_time, json_line, remaining_parameters, to_json)
 from .optim import (StudentTrainConfig, evaluate_student, lowdata_sweep,
                     summarize_sweep, train_student)
 from .student import load_student, prune_masks, save_student
 from .teacher import (TeacherConfig, count_parameters, load_checkpoint, load_logit_cache,
-                      parse_arch, payload_digest, precompute_logits, save_checkpoint,
+                      payload_digest, precompute_logits, save_checkpoint,
                       save_logit_cache, train_teacher)
 
 __all__ = ["main", "build_parser"]
@@ -147,21 +144,21 @@ class Resolved:
         self.flags = vars(args)
         self.defaults = defaults
         self.file = {}
-        config_path = self.flags.get("config")
-        if config_path:
-            path = Path(config_path)
-            if not path.exists():
-                raise UsageError(f"no such config file: {path}")
-            raw = teacher_mod.read_manifest(path)
-            for key, value in raw.items():
+        if self.flags.get("config"):
+            path = _require_file(self.flags["config"], "config file")
+            try:
+                entries = read_manifest(path)
+            except FormatError as exc:
+                raise UsageError(str(exc))
+            for key, value in entries.items():
                 dest = key.replace("-", "_")
                 if dest not in self.flags or dest in ("command", "func", "config"):
                     raise UsageError(f"{path}: unknown key {key!r}; "
                                      "it is not a flag of this command")
-                if dest in _CONVERTERS:
-                    self.file[dest] = _CONVERTERS[dest](value)
-                else:
-                    self.file[dest] = value
+                try:
+                    self.file[dest] = _CONVERTERS.get(dest, str)(value)
+                except ValueError as exc:
+                    raise UsageError(f"{path}: bad value {value!r} for key {key!r}: {exc}")
 
     def __call__(self, dest):
         v = self.flags.get(dest)
@@ -171,8 +168,9 @@ class Resolved:
             return self.file[dest]
         return self.defaults.get(dest)
 
-    def snapshot(self, keys) -> dict:
-        return {k: self(k) for k in keys}
+    def snapshot(self) -> dict:
+        """Every setting the subcommand has a default for, resolved."""
+        return {k: self(k) for k in self.defaults}
 
 
 def _require_file(path, what: str) -> Path:
@@ -205,7 +203,7 @@ def _check_arch_against(arch_text: str, ds) -> list[int]:
 
 def _write_json(path: Path, obj):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(to_json(obj, indent=2, sort_keys=True) + "\n")
 
 
 # -- loss config assembly -----------------------------------------------------
@@ -261,11 +259,10 @@ def cmd_train_teacher(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     digest = save_checkpoint(net, out / "teacher.ckpt")
     save_logit_cache(precompute_logits(net, train_ds), out / "cache.ckpt")
-    resolved = v.snapshot(("arch", "epochs", "batch", "lr", "seed", "activation", "out"))
+    resolved = v.snapshot()
     meta = {"kind": "teacher_session", "config": resolved, "n_train": len(train_ds),
             "parameters": count_parameters(net), "digest": digest}
-    lines = [json.dumps(meta, sort_keys=True, separators=(",", ":"))]
-    lines += [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+    lines = [json_line(r) for r in [meta, *records]]
     (out / "session.jsonl").write_text("\n".join(lines) + "\n")
     _write_json(out / "config.json", resolved)
     final = records[-1] if records else {}
@@ -296,15 +293,18 @@ def _load_teacher_and_cache(v, train_ds):
     return net, logits
 
 
-_STUDENT_KEYS = ("arch", "variant", "kl", "bsr", "q", "temperature", "lambda_t",
-                 "lambda_v", "lambda_g", "warmup_epochs", "epochs", "batch", "lr",
-                 "tau", "seed", "activation", "hint_reverse", "clip", "out", "format")
-
-
-def _teacher_baseline(teacher_net):
-    """(parameter count, dense bytes) of the compression baseline."""
-    params = count_parameters(teacher_net)
-    return params, 4 * params
+def _student_inputs(v, test_required: bool):
+    """``(train_ds, test_ds, loss_cfg, train_cfg, teacher_net, logits)`` of a
+    student command; the teacher and its logits are None without ``--teacher``."""
+    train_ds = _load_pair(v, "train", required=True)
+    test_ds = _load_pair(v, "test", required=test_required)
+    arch = _check_arch_against(v("arch"), train_ds)
+    loss_cfg = build_loss_config(v)
+    teacher_net, logits = _load_teacher_and_cache(v, train_ds)
+    cfg = StudentTrainConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
+                             lr=v("lr"), seed=v("seed"), tau=v("tau"),
+                             activation=v("activation"), grad_clip=v("clip"))
+    return train_ds, test_ds, loss_cfg, cfg, teacher_net, logits
 
 
 def _student_report(net, tau, test_ds, teacher_net, config: dict,
@@ -314,13 +314,9 @@ def _student_report(net, tau, test_ds, teacher_net, config: dict,
     biases = [l.bias for l in net.layers]
     fp = footprint(masks, biases)
     kept = remaining_parameters(masks, biases)
-    if teacher_net is not None:
-        baseline_params, baseline_bytes = _teacher_baseline(teacher_net)
-        config = dict(config, compression_baseline="teacher")
-    else:
-        baseline_params = sum(int(m.size) for m in masks) + sum(int(b.size) for b in biases)
-        baseline_bytes = fp["dense_bytes"]
-        config = dict(config, compression_baseline="self")
+    baseline = "self" if teacher_net is None else "teacher"
+    baseline_params = count_parameters(net.arch if teacher_net is None else teacher_net)
+    baseline_bytes = 4 * baseline_params
     report = SparsityReport(
         network="-".join(str(w) for w in net.arch),
         test_error_pct=scored["test_error_pct"],
@@ -331,7 +327,7 @@ def _student_report(net, tau, test_ds, teacher_net, config: dict,
         csr_bytes=fp["stored_bytes"],
         footprint_compression=baseline_bytes / fp["stored_bytes"],
         inference_ms=None,
-        config=config,
+        config=dict(config, compression_baseline=baseline),
     )
     if timed_batch:
         x = test_ds.images[:timed_batch]
@@ -341,16 +337,9 @@ def _student_report(net, tau, test_ds, teacher_net, config: dict,
 
 def cmd_train_student(args) -> int:
     v = Resolved(args, _STUDENT_DEFAULTS)
-    train_ds = _load_pair(v, "train", required=True)
-    test_ds = _load_pair(v, "test", required=False)
-    arch = _check_arch_against(v("arch"), train_ds)
-    loss_cfg = build_loss_config(v)
-    if v("variant") != "simple" and v("teacher") is None:
+    train_ds, test_ds, loss_cfg, cfg, teacher_net, logits = _student_inputs(v, False)
+    if v("variant") != "simple" and teacher_net is None:
         raise UsageError(f"variant {v('variant')!r} needs --teacher (only 'simple' runs without one)")
-    teacher_net, logits = _load_teacher_and_cache(v, train_ds)
-    cfg = StudentTrainConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
-                             lr=v("lr"), seed=v("seed"), tau=v("tau"),
-                             activation=v("activation"), grad_clip=v("clip"))
     out = Path(v("out"))
     net, records = train_student(
         train_ds, logits, loss_cfg, cfg,
@@ -358,11 +347,11 @@ def cmd_train_student(args) -> int:
         test_ds=test_ds, log_dir=out)
 
     save_student(net, out / "student.ckpt", tau=v("tau"))
-    resolved = v.snapshot(_STUDENT_KEYS)
+    resolved = v.snapshot()
     resolved["loss"] = asdict(loss_cfg)
     _write_json(out / "config.json", resolved)
     last = records[-1]
-    print(f"student {'-'.join(str(w) for w in arch)} [{v('variant')}]: "
+    print(f"student {'-'.join(str(w) for w in cfg.arch)} [{v('variant')}]: "
           f"R_s {last['r_s']:.2f} at tau {v('tau')}"
           + (f", test error {last['test_error_pct']:.2f}%" if "test_error_pct" in last else ""))
     if test_ds is not None:
@@ -397,21 +386,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_lowdata(args) -> int:
     v = Resolved(args, _LOWDATA_DEFAULTS)
-    train_ds = _load_pair(v, "train", required=True)
-    test_ds = _load_pair(v, "test", required=True)
-    arch = _check_arch_against(v("arch"), train_ds)
-    if v("teacher") is None:
+    train_ds, test_ds, loss_cfg, cfg, teacher_net, logits = _student_inputs(v, True)
+    if teacher_net is None:
         raise UsageError("lowdata needs --teacher for the hint comparison")
-    teacher_net, logits = _load_teacher_and_cache(v, train_ds)
-    loss_cfg = build_loss_config(v)
-    cfg = StudentTrainConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
-                             lr=v("lr"), seed=v("seed"), tau=v("tau"),
-                             activation=v("activation"), grad_clip=v("clip"))
     rows = lowdata_sweep(train_ds, test_ds, logits, loss_cfg, cfg,
                          v("sizes"), v("seeds"),
                          teacher_weights=teacher_net.weights)
     summary = summarize_sweep(rows)
-    resolved = v.snapshot(_STUDENT_KEYS + ("sizes", "seeds"))
+    resolved = v.snapshot()
     resolved["loss"] = asdict(loss_cfg)
     out = Path(v("out"))
     _write_json(out / "sweep.json", {"rows": rows, "summary": summary, "config": resolved})

@@ -25,7 +25,6 @@ __all__ = [
     "Dataset",
     "load_idx",
     "write_idx",
-    "subset",
     "subset_indices",
     "batch_iter",
 ]
@@ -148,11 +147,6 @@ def subset_indices(ds: Dataset, n: int, seed: int) -> np.ndarray:
         picks.append(members[perm[:k]])
     out = np.concatenate(picks)
     return out[rng.child(1).permutation(len(out))]
-
-
-def subset(ds: Dataset, n: int, seed: int) -> Dataset:
-    """Class-stratified random subset of ``n`` examples."""
-    return ds.take(subset_indices(ds, n, seed))
 
 
 def batch_iter(ds: Dataset, batch_size: int, shuffle_seed=None):

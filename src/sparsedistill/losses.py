@@ -8,16 +8,15 @@ where the hint term matches temperature-softened class distributions
 between student and a frozen teacher (scaled by ``2 T^2`` so its gradient
 magnitude stays comparable across temperatures), the KL term is one of
 the posterior penalties from :mod:`.student` warmed up linearly over the
-first epochs, and the group term is a mixed norm over the rows of a
-zero-padded stack of every weight matrix from both networks.  Teacher
-slices of that stack never change, so their row aggregates are
-precomputed once into a :class:`BsrContext` and only student rows go
-through the graph.
+first epochs, and the group term is a mixed norm over the rows of every
+weight matrix from both networks, stacked and zero-padded to a common
+height (the paper's Block Sparse Regularizer).  The teacher's matrices
+never change, so their row aggregates are precomputed once into a
+:class:`BsrContext` and only student rows go through the graph.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -30,8 +29,7 @@ from .student import kl_svd_node, kl_vbd_node, student_logits_node
 __all__ = [
     "LossConfig", "resolve_variant", "warmup_scale", "effective_lambda_v",
     "cross_entropy", "cross_entropy_node", "hint_loss", "hint_node",
-    "ConcatTensor", "concat_weights", "bsr", "BsrContext", "make_bsr_context",
-    "bsr_node", "total_loss", "VARIANTS",
+    "BsrContext", "make_bsr_context", "bsr_node", "total_loss", "VARIANTS",
 ]
 
 VARIANTS = ("simple", "kd", "kd-svd", "kd-vbd", "st-svd", "st-vbd")
@@ -56,7 +54,7 @@ class LossConfig:
     hint_reverse: bool = False
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise DomainError(f"temperature must be positive, got {self.temperature}")
         for name in ("lambda_t", "lambda_g", "lambda_v_max"):
             value = getattr(self, name)
@@ -66,7 +64,9 @@ class LossConfig:
             raise UsageError(f"unknown kl variant {self.kl_variant!r}")
         if self.bsr_variant not in (None, "l1lq", "l1linf"):
             raise UsageError(f"unknown group-norm variant {self.bsr_variant!r}")
-        if self.bsr_variant == "l1lq" and not (np.isfinite(self.q) and self.q >= 1):
+        # a NaN q is refused even when unused: the run's config.json records it
+        bad_q = not (np.isfinite(self.q) and self.q >= 1)
+        if np.isnan(self.q) or (self.bsr_variant == "l1lq" and bad_q):
             raise DomainError(f"q must be a finite number >= 1, got {self.q}")
 
 
@@ -199,61 +199,6 @@ def hint_node(student_logits: Tensor, teacher_logits: np.ndarray,
 
 
 @dataclass
-class ConcatTensor:
-    """Zero-padded stack of weight matrices from both networks.
-
-    Axis 0 indexes rows (padded to the tallest matrix), axis 1 columns
-    (padded to the widest), axis 2 the matrices themselves, teacher
-    layers first.
-    """
-
-    tensor: np.ndarray
-    n_teacher: int
-    shapes: list
-
-    @property
-    def m(self) -> int:
-        return self.tensor.shape[0]
-
-
-def concat_weights(teacher_weights, student_weights) -> ConcatTensor:
-    mats = [np.asarray(w, dtype=np.float64) for w in list(teacher_weights) + list(student_weights)]
-    for w in mats:
-        if w.ndim != 2:
-            raise ShapeError(f"expected 2-D weight matrices, got shape {w.shape}")
-    m = max(w.shape[0] for w in mats)
-    n = max(w.shape[1] for w in mats)
-    out = np.zeros((m, n, len(mats)))
-    for l, w in enumerate(mats):
-        out[:w.shape[0], :w.shape[1], l] = w
-    return ConcatTensor(out, n_teacher=len(list(teacher_weights)), shapes=[w.shape for w in mats])
-
-
-def bsr(concat: ConcatTensor, variant: str, q: float = 2.0) -> float:
-    """Mixed norm over the stacked tensor: an outer sum over rows of an
-    inner q-norm (or max) across everything in that row.
-
-    Aggregation walks the matrices through their true shapes and the outer
-    sum is correctly rounded, so padded zeros cannot perturb the value
-    even at the last bit.
-    """
-    t = np.abs(concat.tensor)
-    if variant == "l1linf":
-        row_max = np.zeros(concat.m)
-        for l, (h, _) in enumerate(concat.shapes):
-            row_max[:h] = np.maximum(row_max[:h], t[:h, :, l].max(axis=1))
-        return float(math.fsum(row_max))
-    if variant == "l1lq":
-        if not (np.isfinite(q) and q >= 1):
-            raise DomainError(f"q must be a finite number >= 1, got {q}")
-        rows = np.zeros(concat.m)
-        for l, (h, c) in enumerate(concat.shapes):
-            rows[:h] += (t[:h, :c, l] ** q).sum(axis=1)
-        return float(math.fsum(rows ** (1.0 / q)))
-    raise UsageError(f"unknown group-norm variant {variant!r}")
-
-
-@dataclass
 class BsrContext:
     """Precomputed teacher-side row aggregates for the group term.
 
@@ -288,9 +233,12 @@ def make_bsr_context(teacher_weights, student_shapes, variant: str, q: float = 2
 
 
 def bsr_node(ctx: BsrContext, student_thetas: list[Tensor]) -> Tensor:
-    """Graph node of :func:`bsr` over the same stack, never materialising the
-    padded tensor.  ``l1lq`` gradient: ``g * S_i^(1/q-1) * |theta|^(q-1) *
-    sign(theta)`` with ``S_i`` the row's sum of ``|w|^q``, 0 where ``S_i <= 0``.
+    """The group term as a graph node, never materialising the padded stack.
+
+    Over each row ``i`` of the stack, ``l1lq`` sums ``S_i^(1/q)`` with ``S_i``
+    the row's sum of ``|w|^q``, and ``l1linf`` sums the row's largest ``|w|``.
+    ``l1lq`` gradient: ``g * S_i^(1/q-1) * |theta|^(q-1) * sign(theta)``,
+    0 where ``S_i <= 0``.
     ``l1linf``: ``g * sign(theta)`` at each row's winning entry only; the
     teacher, then earlier layers, win ties, and the first argmax in a row.
     """

@@ -6,6 +6,8 @@ column index, and 4 per row pointer (rows + 1 of them).  Each layer is
 charged whichever of the two encodings is smaller; biases stay dense.
 The footprint compression a report shows always has the dense teacher's
 bytes in the numerator.
+
+Every JSON document the package writes goes through :func:`to_json`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -22,10 +25,10 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 __all__ = [
-    "top1_error", "sparsity_ratio", "sparsity_summary", "per_layer_sparsity_pct",
+    "top1_error", "sparsity_ratio", "per_layer_sparsity_pct",
     "compression_ratio", "csr_bytes", "dense_bytes", "footprint",
     "remaining_parameters", "inference_time", "SparsityReport", "emit_report",
-    "REPORT_FORMATS",
+    "REPORT_FORMATS", "to_json", "json_line",
 ]
 
 REPORT_FORMATS = ("json", "markdown", "csv")
@@ -57,11 +60,6 @@ def per_layer_sparsity_pct(masks) -> list[float]:
     return [float(100.0 * (1.0 - np.count_nonzero(m) / np.asarray(m).size)) for m in masks]
 
 
-def sparsity_summary(masks) -> tuple[list[float], float]:
-    """Per-layer removal percentages together with the overall ratio."""
-    return per_layer_sparsity_pct(masks), sparsity_ratio(masks)
-
-
 def compression_ratio(teacher_params: int, student_params: int) -> float:
     """R_c: trainable parameters before over after."""
     if teacher_params <= 0 or student_params <= 0:
@@ -83,10 +81,7 @@ def csr_bytes(mask: np.ndarray) -> int:
 
 
 def dense_bytes(shape) -> int:
-    n = 1
-    for s in shape:
-        n *= int(s)
-    return 4 * n
+    return 4 * math.prod(int(s) for s in shape)
 
 
 def footprint(masks, biases) -> dict:
@@ -110,20 +105,17 @@ def footprint(masks, biases) -> dict:
     }
 
 
-def inference_time(net, x: np.ndarray, masks=None, repetitions: int = 5,
-                   warmup: int = 3) -> float:
-    """Median wall-clock seconds for one deterministic forward pass."""
+def inference_time(net, x: np.ndarray, masks=None) -> float:
+    """Median wall-clock seconds of 5 deterministic forward passes, after 3 warm-up passes."""
     from .student import student_logits
 
-    if repetitions < 1:
-        raise DomainError(f"repetitions must be >= 1, got {repetitions}")
     x = np.asarray(x, dtype=np.float64)
-    for _ in range(warmup):
-        student_logits(net, x, train=False, masks=masks)
+    for _ in range(3):
+        student_logits(net, x, masks=masks)
     samples = []
-    for _ in range(repetitions):
+    for _ in range(5):
         t0 = time.perf_counter()
-        student_logits(net, x, train=False, masks=masks)
+        student_logits(net, x, masks=masks)
         samples.append(time.perf_counter() - t0)
     return float(np.median(samples))
 
@@ -162,47 +154,57 @@ def _layers_cell(values) -> str:
     return "-".join(f"{v:.6g}" for v in values)
 
 
-def emit_report(reports, fmt: str = "json", sort_key: str | None = None) -> str:
-    """Render one document from one or more report rows.
+def _inf_as_text(obj):
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {k: _inf_as_text(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_inf_as_text(v) for v in obj]
+    return obj
+
+
+def to_json(obj, **options) -> str:
+    """``json.dumps(obj, **options)`` that only writes strict JSON.
+
+    An infinite float becomes the string ``"inf"`` or ``"-inf"``, as the
+    markdown and csv reports print it; a NaN raises ``ValueError``.
+    """
+    return json.dumps(_inf_as_text(obj), allow_nan=False, **options)
+
+
+def json_line(obj) -> str:
+    """One compact line with sorted keys: the record format of ``*.jsonl`` files."""
+    return to_json(obj, sort_keys=True, separators=(",", ":"))
+
+
+def emit_report(reports, fmt: str = "json") -> str:
+    """Render one document from a list of report rows.
 
     Numbers are printed to 6 significant digits in the tabular formats,
     straight from the stored fields; nothing is recomputed here.
     """
-    if isinstance(reports, SparsityReport):
-        reports = [reports]
-    reports = list(reports)
-    if not reports:
+    rows = [asdict(r) for r in reports]
+    if not rows:
         raise UsageError("no report rows to emit")
     if fmt not in REPORT_FORMATS:
         raise UsageError(f"unknown report format {fmt!r}; expected one of {', '.join(REPORT_FORMATS)}")
-    rows = [asdict(r) for r in reports]
-    if sort_key is not None:
-        if sort_key not in rows[0]:
-            raise UsageError(f"unknown sort key {sort_key!r}")
-        rows.sort(key=lambda r: (r[sort_key] is None, r[sort_key]))
 
     if fmt == "json":
-        return json.dumps(rows, indent=2)
+        return to_json(rows, indent=2)
 
     header = ["network", "test_error_pct", "per_layer_sparsity", "r_s", "r_c",
               "dense_bytes", "csr_bytes", "footprint_compression", "inference_ms"]
+    table = [[row["network"], _sig6(row["test_error_pct"]),
+              _layers_cell(row["per_layer_sparsity"])]
+             + [_sig6(row[k]) for k in _NUMERIC_KEYS[1:]] for row in rows]
     if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |",
-                 "| " + " | ".join("---" for _ in header) + " |"]
-        for row in rows:
-            cells = [row["network"], _sig6(row["test_error_pct"]),
-                     _layers_cell(row["per_layer_sparsity"])]
-            cells += [_sig6(row[k]) for k in _NUMERIC_KEYS[1:]]
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines)
+        lines = [header, ["---" for _ in header]] + table
+        return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header + ["config"])
-    for row in rows:
-        cells = [row["network"], _sig6(row["test_error_pct"]),
-                 _layers_cell(row["per_layer_sparsity"])]
-        cells += [_sig6(row[k]) for k in _NUMERIC_KEYS[1:]]
-        cells.append(json.dumps(row["config"], sort_keys=True))
-        writer.writerow(cells)
+    for row, cells in zip(rows, table):
+        writer.writerow(cells + [to_json(row["config"], sort_keys=True)])
     return buf.getvalue().rstrip("\n")

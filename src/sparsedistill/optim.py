@@ -8,7 +8,6 @@ wall-clock numbers and is allowed to differ run to run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -19,7 +18,7 @@ from .autograd import Tensor
 from .data import Dataset, batch_iter, subset_indices
 from .errors import ConsistencyError, TrainingError, UsageError
 from .losses import BsrContext, LossConfig, make_bsr_context, total_loss
-from .metrics import per_layer_sparsity_pct, sparsity_ratio, top1_error
+from .metrics import json_line, per_layer_sparsity_pct, sparsity_ratio, top1_error
 from .student import StudentNet, init_student, prune_masks, student_logits
 from .tensor import RngStream
 
@@ -105,29 +104,6 @@ def _clip_global_norm(params, max_norm: float):
                 p.grad *= scale
 
 
-def _epoch_eval(net: StudentNet, test_ds: Dataset | None, tau: float) -> dict:
-    masks = prune_masks(net, tau)
-    out = {
-        "r_s": sparsity_ratio(masks),
-        "per_layer_sparsity": per_layer_sparsity_pct(masks),
-    }
-    if test_ds is not None:
-        out["test_error_pct"] = 100.0 * top1_error(
-            _chunked_logits(net, test_ds.images, masks), test_ds.labels)
-    return out
-
-
-def _chunked_logits(net: StudentNet, images: np.ndarray, masks=None,
-                    chunk: int = 4096) -> np.ndarray:
-    rows = [student_logits(net, images[i:i + chunk], train=False, masks=masks)
-            for i in range(0, len(images), chunk)]
-    return np.vstack(rows)
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
                   loss_cfg: LossConfig, cfg: StudentTrainConfig, *,
                   teacher_weights=None, test_ds: Dataset | None = None,
@@ -159,7 +135,7 @@ def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
         bsr_ctx = make_bsr_context(teacher_weights, [l.theta.shape for l in net.layers],
                                    loss_cfg.bsr_variant, loss_cfg.q)
 
-    session_lines = [_json_line({
+    session_lines = [json_line({
         "kind": "train_session",
         "arch": list(net.arch),
         "n_train": len(ds),
@@ -197,10 +173,12 @@ def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
 
         record = {"epoch": epoch, "lambda_v_eff": lam_v_eff}
         record.update({k: sums[k] / max(steps, 1) for k in part_keys})
-        record.update(_epoch_eval(net, test_ds, cfg.tau))
+        scored = evaluate_student(net, test_ds, cfg.tau)
+        del scored["tau"]
+        record.update(scored)
         records.append(record)
-        session_lines.append(_json_line(record))
-        timing_lines.append(_json_line({"epoch": epoch, "seconds": perf_counter() - t0}))
+        session_lines.append(json_line(record))
+        timing_lines.append(json_line({"epoch": epoch, "seconds": perf_counter() - t0}))
 
     if log_dir is not None:
         log_dir = Path(log_dir)
@@ -210,16 +188,19 @@ def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
     return net, records
 
 
-def evaluate_student(net: StudentNet, ds: Dataset, tau: float) -> dict:
-    """Deterministic pruned-network metrics on a dataset."""
+def evaluate_student(net: StudentNet, ds: Dataset | None, tau: float) -> dict:
+    """Deterministic pruned-network metrics; the error needs a dataset ``ds``."""
     masks = prune_masks(net, tau)
-    err = top1_error(_chunked_logits(net, ds.images, masks), ds.labels)
-    return {
-        "test_error_pct": 100.0 * err,
+    out = {
         "per_layer_sparsity": per_layer_sparsity_pct(masks),
         "r_s": sparsity_ratio(masks),
         "tau": float(tau),
     }
+    if ds is not None:
+        logits = np.vstack([student_logits(net, ds.images[i:i + 4096], masks=masks)
+                            for i in range(0, len(ds), 4096)])
+        out["test_error_pct"] = 100.0 * top1_error(logits, ds.labels)
+    return out
 
 
 def lowdata_sweep(train_ds: Dataset, test_ds: Dataset, teacher_logits: np.ndarray,

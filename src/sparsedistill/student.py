@@ -6,21 +6,21 @@ weight is summarised by ``log alpha = log sigma^2 - log theta^2``; large
 values mean the multiplicative noise drowns the mean and the weight can
 be removed.  Two KL penalties over log-alpha are provided (the sparsifying
 form and the simpler log-uniform bound), plus pruning masks, forward
-passes for training (noisy, via the local reparameterisation trick) and
-evaluation (deterministic, masked), and checkpoint round-tripping.
+passes for training (a graph of noisy layers, via the local
+reparameterisation trick) and evaluation (deterministic, masked), and
+checkpoint round-tripping.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from .autograd import Tensor
-from .errors import ConsistencyError, FormatError, ShapeError
-from .tensor import RngStream, relu, sigmoid
+from .errors import ConsistencyError, ShapeError
+from .tensor import ACTIVATIONS, sigmoid
 
 __all__ = [
     "K1", "K2", "K3", "LOG_ALPHA_CLAMP",
@@ -85,16 +85,13 @@ class StudentNet:
 
 def init_student(arch, seed: int, activation: str = "relu",
                  log_sigma2_init: float = -8.0) -> StudentNet:
-    """Scaled-uniform means, constant small log-variance, zero biases."""
-    from .teacher import parse_arch
+    """The teacher's initialisation (:func:`.teacher.init_mlp`) for the means and
+    biases, and a constant small log-variance."""
+    from .teacher import init_mlp
 
-    arch = parse_arch(arch)
-    rng = RngStream(seed)
-    layers = []
-    for i, (k, h) in enumerate(zip(arch[:-1], arch[1:])):
-        limit = np.sqrt(6.0 / k)
-        theta = (rng.child(2, i).uniform(k, h) * 2.0 - 1.0) * limit
-        layers.append(VariationalDenseLayer(theta, np.full((k, h), log_sigma2_init), np.zeros(h)))
+    mlp = init_mlp(arch, seed, activation)
+    layers = [VariationalDenseLayer(w, np.full(w.shape, log_sigma2_init), b)
+              for w, b in zip(mlp.weights, mlp.biases)]
     return StudentNet(layers, activation=activation, seed=seed)
 
 
@@ -197,49 +194,27 @@ def kl_vbd_node(theta_t: Tensor, log_sigma2_t: Tensor) -> Tensor:
 
 # -- forward passes ------------------------------------------------------------
 
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid}
 _VAR_FLOOR = 1e-18
 
 
-def _noisy_forward(x, theta, log_sigma2, bias, eps):
-    """``(out, x^2, sigma^2, sd)`` with ``out = x @ theta + b + sd * eps`` and
-    ``sd = sqrt(x^2 @ sigma^2 + floor)``: the local reparameterisation trick."""
-    x_sq, s2 = np.square(x), np.exp(log_sigma2)
-    sd = np.sqrt(x_sq @ s2 + _VAR_FLOOR)
-    return x @ theta + bias + sd * eps, x_sq, s2, sd
-
-
 def variational_forward(layer: VariationalDenseLayer, x: np.ndarray, *,
-                        train: bool, rng: RngStream | None = None,
                         mask: np.ndarray | None = None) -> np.ndarray:
-    """One layer's pre-activation output.
-
-    Training draws the output from its per-unit Gaussian (mean ``x @ theta``,
-    variance ``x^2 @ sigma^2``) so noise is sampled in activation space.
-    Evaluation is deterministic on the means, with pruned weights zeroed.
-    """
+    """One layer's deterministic pre-activation output on the means, with
+    pruned weights zeroed."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.theta.shape[0]:
         raise ShapeError(f"batch shape {x.shape} incompatible with layer input {layer.theta.shape[0]}")
-    if train:
-        if rng is None:
-            raise ConsistencyError("training forward needs an rng for the noise draw")
-        eps = rng.normal(x.shape[0], layer.theta.shape[1])
-        return _noisy_forward(x, layer.theta, layer.log_sigma2, layer.bias, eps)[0]
     w = layer.theta if mask is None else layer.theta * mask
     return x @ w + layer.bias
 
 
-def student_logits(net: StudentNet, x: np.ndarray, *, train: bool = False,
-                   rng: RngStream | None = None,
+def student_logits(net: StudentNet, x: np.ndarray, *,
                    masks: list[np.ndarray] | None = None) -> np.ndarray:
-    """Full-network logits; hidden nonlinearity between layers, none after the last."""
-    act = _ACTIVATIONS[net.activation]
+    """Deterministic logits; hidden nonlinearity between layers, none after the last."""
+    act = ACTIVATIONS[net.activation]
     out = np.asarray(x, dtype=np.float64)
     for i, layer in enumerate(net.layers):
-        mask = None if masks is None else masks[i]
-        out = variational_forward(layer, out, train=train,
-                                  rng=None if rng is None else rng.child(i), mask=mask)
+        out = variational_forward(layer, out, mask=None if masks is None else masks[i])
         if i < len(net.layers) - 1:
             out = act(out)
     return out
@@ -249,6 +224,8 @@ def _noisy_layer_node(x, theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,
                       eps: np.ndarray) -> Tensor:
     """One graph node for a noisy layer, with its closed-form gradient.
 
+    The local reparameterisation trick draws each output from its Gaussian:
+    ``out = x @ theta + b + sd * eps`` with ``sd = sqrt(x^2 @ sigma^2 + floor)``.
     ``x`` is the batch as an array, or the previous layer's node.  With
     ``dv = g * eps / (2 sd)``: ``dtheta = x.T @ g``, ``db = sum_rows g``,
     ``dlog_sigma2 = (x^2).T @ dv * sigma^2`` and, when ``x`` is a node,
@@ -256,7 +233,9 @@ def _noisy_layer_node(x, theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,
     """
     x_t = x if isinstance(x, Tensor) else None
     xd = x if x_t is None else x.data
-    out, x_sq, s2, sd = _noisy_forward(xd, theta_t.data, log_sigma2_t.data, bias_t.data, eps)
+    x_sq, s2 = np.square(xd), np.exp(log_sigma2_t.data)
+    sd = np.sqrt(x_sq @ s2 + _VAR_FLOOR)
+    out = xd @ theta_t.data + bias_t.data + sd * eps
     parents = (theta_t, log_sigma2_t, bias_t) + (() if x_t is None else (x_t,))
     req = any(p.requires_grad for p in parents)
 
@@ -278,8 +257,8 @@ def _noisy_layer_node(x, theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,
 
 def student_logits_node(param_ts: list[tuple[Tensor, Tensor, Tensor]], x: np.ndarray,
                         eps_list: list[np.ndarray], activation: str = "relu") -> Tensor:
-    """Graph version of the noisy :func:`student_logits`; ``eps_list`` holds each
-    layer's noise, drawn outside the graph."""
+    """The training forward as a graph of noisy layers; ``eps_list`` holds each
+    layer's standard normal noise, drawn outside the graph."""
     out = np.asarray(x, dtype=np.float64)
     for i, (theta_t, logs2_t, bias_t) in enumerate(param_ts):
         out = _noisy_layer_node(out, theta_t, logs2_t, bias_t, eps_list[i])
@@ -291,62 +270,30 @@ def student_logits_node(param_ts: list[tuple[Tensor, Tensor, Tensor]], x: np.nda
 # -- checkpoint serialization --------------------------------------------------
 
 
-def _student_payload(net: StudentNet) -> bytes:
-    parts = []
-    for layer in net.layers:
-        parts.append(np.ascontiguousarray(layer.theta, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-    for layer in net.layers:
-        parts.append(np.ascontiguousarray(layer.log_sigma2, dtype="<f8").tobytes())
-    return b"".join(parts)
+def _arrays(net: StudentNet) -> list[np.ndarray]:
+    """Payload order: the teacher's layout (each layer's theta, then its bias),
+    then every layer's log_sigma2."""
+    return ([a for l in net.layers for a in (l.theta, l.bias)]
+            + [l.log_sigma2 for l in net.layers])
 
 
 def student_digest(net: StudentNet) -> str:
-    return hashlib.sha256(_student_payload(net)).hexdigest()
+    return checkpoint.digest(_arrays(net))
 
 
 def save_student(net: StudentNet, base_path, tau: float | None = None) -> str:
-    from .teacher import write_manifest
-
-    base_path = Path(base_path)
-    base_path.parent.mkdir(parents=True, exist_ok=True)
-    payload = _student_payload(net)
-    digest = hashlib.sha256(payload).hexdigest()
-    (base_path.parent / (base_path.name + ".bin")).write_bytes(payload)
-    write_manifest(base_path, {
-        "kind": "variational_mlp",
+    return checkpoint.write_artifact(base_path, "variational_mlp", {
         "architecture": "-".join(str(w) for w in net.arch),
         "activation": net.activation,
-        "seed": "" if net.seed is None else net.seed,
-        "tau": "" if tau is None else repr(float(tau)),
-        "digest": digest,
-    })
-    return digest
+        "seed": net.seed,
+        "tau": None if tau is None else repr(float(tau)),
+    }, _arrays(net))
 
 
 def load_student(base_path):
     """Returns ``(net, tau)`` where tau is None if the checkpoint has none."""
-    from .teacher import count_parameters, parse_arch, read_manifest, _read_payload
-
-    manifest = read_manifest(base_path)
-    if manifest.get("kind") != "variational_mlp":
-        raise FormatError(f"{base_path}: not a variational_mlp checkpoint ({manifest.get('kind')!r})")
-    arch = parse_arch(manifest["architecture"])
-    n_wb = count_parameters(arch)
-    n_ls = sum(k * h for k, h in zip(arch[:-1], arch[1:]))
-    flat = _read_payload(base_path, n_wb + n_ls, manifest["digest"])
-    thetas, biases, pos = [], [], 0
-    for k, h in zip(arch[:-1], arch[1:]):
-        thetas.append(flat[pos:pos + k * h].reshape(k, h).copy())
-        pos += k * h
-        biases.append(flat[pos:pos + h].copy())
-        pos += h
-    layers = []
-    for (k, h), theta, bias in zip(zip(arch[:-1], arch[1:]), thetas, biases):
-        layers.append(VariationalDenseLayer(theta, flat[pos:pos + k * h].reshape(k, h).copy(), bias))
-        pos += k * h
-    seed = manifest.get("seed", "")
-    net = StudentNet(layers, activation=manifest.get("activation", "relu"),
-                     seed=int(seed) if seed else None)
-    tau = manifest.get("tau", "")
-    return net, (float(tau) if tau else None)
+    fields, arrays = checkpoint.read_artifact(base_path, "variational_mlp")
+    n = len(fields["architecture"]) - 1
+    layers = [VariationalDenseLayer(theta, log_sigma2, bias) for theta, bias, log_sigma2
+              in zip(arrays[0:2 * n:2], arrays[1:2 * n:2], arrays[2 * n:])]
+    return StudentNet(layers, activation=fields["activation"], seed=fields["seed"]), fields["tau"]

@@ -6,28 +6,25 @@ student training can look hints up by row index instead of re-running the
 teacher every step.  Temperature scaling happens at loss time, so a single
 cache serves any temperature.
 
-Checkpoint layout: a text manifest of ``key=value`` lines next to a
-binary payload (``<base>.bin``) holding little-endian float64 values:
-for each layer the weight matrix in row-major order, then its bias
-vector.  The manifest records a SHA-256 digest of the payload; a logit
-cache additionally records the digest of the teacher that produced it.
+Checkpoints and logit caches use the artifact format of
+:mod:`.checkpoint`.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from .autograd import Tensor
-from .errors import ConsistencyError, FormatError, LengthError, ShapeError, StalenessError, TrainingError
+from .checkpoint import parse_arch
+from .errors import ConsistencyError, ShapeError, StalenessError, TrainingError
 from .data import Dataset, batch_iter
 from .losses import cross_entropy_node
 from .metrics import top1_error
 from .optim import Adam, check_schedule
-from .tensor import RngStream, relu, sigmoid
+from .tensor import ACTIVATIONS, RngStream
 
 __all__ = [
     "DenseMLP",
@@ -43,24 +40,7 @@ __all__ = [
     "load_checkpoint",
     "save_logit_cache",
     "load_logit_cache",
-    "parse_arch",
 ]
-
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid}
-
-
-def parse_arch(spec) -> list[int]:
-    """Parse a dash-separated width string like ``"784-500-50-10"``."""
-    if isinstance(spec, str):
-        parts = spec.split("-")
-        if any(not p.strip().isdigit() for p in parts):
-            raise FormatError(f"malformed architecture string {spec!r}")
-        widths = [int(p) for p in parts]
-    else:
-        widths = [int(w) for w in spec]
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise FormatError(f"architecture needs >= 2 positive widths, got {widths}")
-    return widths
 
 
 @dataclass
@@ -131,7 +111,7 @@ def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"batch shape {x.shape} incompatible with input width {net.weights[0].shape[0]}"
         )
-    act = _ACTIVATIONS[net.activation]
+    act = ACTIVATIONS[net.activation]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         # the bias is added in place so that one fewer batch-by-width array is live
         x = x @ w
@@ -151,10 +131,7 @@ def _forward_node(weight_ts, bias_ts, x: np.ndarray, activation: str) -> Tensor:
 
 def count_parameters(net_or_arch) -> int:
     """Trainable parameter count: weights plus biases, layer by layer."""
-    if isinstance(net_or_arch, DenseMLP):
-        arch = net_or_arch.arch
-    else:
-        arch = parse_arch(net_or_arch)
+    arch = net_or_arch.arch if isinstance(net_or_arch, DenseMLP) else parse_arch(net_or_arch)
     return sum(k * h + h for k, h in zip(arch[:-1], arch[1:]))
 
 
@@ -208,105 +185,43 @@ def precompute_logits(net: DenseMLP, ds: Dataset, batch_size: int = 4096) -> Log
 # -- checkpoint serialization ------------------------------------------------
 
 
-def _net_payload(net: DenseMLP) -> bytes:
-    parts = []
-    for w, b in zip(net.weights, net.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(parts)
+def _arrays(net: DenseMLP) -> list[np.ndarray]:
+    """Payload order: each layer's weights, then its bias."""
+    return [a for wb in zip(net.weights, net.biases) for a in wb]
 
 
 def payload_digest(net: DenseMLP) -> str:
-    return hashlib.sha256(_net_payload(net)).hexdigest()
-
-
-def write_manifest(path, entries: dict):
-    lines = [f"{k}={v}" for k, v in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_manifest(path) -> dict:
-    entries = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
+    return checkpoint.digest(_arrays(net))
 
 
 def save_checkpoint(net: DenseMLP, base_path) -> str:
     """Write manifest at ``base_path`` and payload at ``base_path + '.bin'``."""
-    base_path = Path(base_path)
-    base_path.parent.mkdir(parents=True, exist_ok=True)
-    payload = _net_payload(net)
-    digest = hashlib.sha256(payload).hexdigest()
-    (base_path.parent / (base_path.name + ".bin")).write_bytes(payload)
-    write_manifest(base_path, {
-        "kind": "dense_mlp",
+    return checkpoint.write_artifact(base_path, "dense_mlp", {
         "architecture": "-".join(str(w) for w in net.arch),
         "activation": net.activation,
-        "seed": "" if net.seed is None else net.seed,
-        "digest": digest,
-    })
-    return digest
-
-
-def _read_payload(base_path, expected_doubles: int, digest: str) -> np.ndarray:
-    bin_path = Path(str(base_path) + ".bin")
-    raw = bin_path.read_bytes()
-    if len(raw) != 8 * expected_doubles:
-        raise LengthError(
-            f"{bin_path}: manifest shapes imply {8 * expected_doubles} bytes, found {len(raw)}"
-        )
-    if hashlib.sha256(raw).hexdigest() != digest:
-        raise ConsistencyError(f"{bin_path}: payload digest does not match manifest")
-    return np.frombuffer(raw, dtype="<f8")
+        "seed": net.seed,
+    }, _arrays(net))
 
 
 def load_checkpoint(base_path) -> DenseMLP:
-    manifest = read_manifest(base_path)
-    if manifest.get("kind") != "dense_mlp":
-        raise FormatError(f"{base_path}: not a dense_mlp checkpoint ({manifest.get('kind')!r})")
-    arch = parse_arch(manifest["architecture"])
-    flat = _read_payload(base_path, count_parameters(arch), manifest["digest"])
-    weights, biases, pos = [], [], 0
-    for k, h in zip(arch[:-1], arch[1:]):
-        weights.append(flat[pos:pos + k * h].reshape(k, h).copy())
-        pos += k * h
-        biases.append(flat[pos:pos + h].copy())
-        pos += h
-    seed = manifest.get("seed", "")
-    return DenseMLP(weights, biases, activation=manifest.get("activation", "relu"),
-                    seed=int(seed) if seed else None)
+    fields, arrays = checkpoint.read_artifact(base_path, "dense_mlp")
+    return DenseMLP(arrays[0::2], arrays[1::2], activation=fields["activation"],
+                    seed=fields["seed"])
 
 
 def save_logit_cache(cache: LogitCache, base_path):
-    base_path = Path(base_path)
-    base_path.parent.mkdir(parents=True, exist_ok=True)
-    payload = np.ascontiguousarray(cache.logits, dtype="<f8").tobytes()
-    (base_path.parent / (base_path.name + ".bin")).write_bytes(payload)
-    write_manifest(base_path, {
-        "kind": "logit_cache",
+    checkpoint.write_artifact(base_path, "logit_cache", {
         "rows": cache.logits.shape[0],
         "cols": cache.logits.shape[1],
         "teacher_digest": cache.teacher_digest,
-        "digest": hashlib.sha256(payload).hexdigest(),
-    })
+    }, [cache.logits])
 
 
 def load_logit_cache(base_path, expected_teacher_digest: str | None = None) -> LogitCache:
     """Load a cache, failing with :class:`StalenessError` if it was built
     from a different teacher than ``expected_teacher_digest``."""
-    manifest = read_manifest(base_path)
-    if manifest.get("kind") != "logit_cache":
-        raise FormatError(f"{base_path}: not a logit_cache checkpoint ({manifest.get('kind')!r})")
-    rows, cols = int(manifest["rows"]), int(manifest["cols"])
-    flat = _read_payload(base_path, rows * cols, manifest["digest"])
-    cache = LogitCache(flat.reshape(rows, cols).copy(), manifest["teacher_digest"])
+    fields, (logits,) = checkpoint.read_artifact(base_path, "logit_cache")
+    cache = LogitCache(logits, fields["teacher_digest"])
     if expected_teacher_digest is not None and cache.teacher_digest != expected_teacher_digest:
         raise StalenessError(
             f"{base_path}: cache was built from teacher {cache.teacher_digest[:12]}..., "

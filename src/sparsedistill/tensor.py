@@ -1,36 +1,16 @@
-"""Dense float64 matrix primitives and reproducible Gaussian sampling.
+"""Reproducible random streams and the hidden-layer nonlinearities.
 
-Matrices are plain 2-D C-contiguous ``numpy`` arrays of float64; every
-function here returns a fresh array and never mutates its inputs.  All
-stochastic behaviour flows through :class:`RngStream`, a splittable
+All stochastic behaviour flows through :class:`RngStream`, a splittable
 counter-based generator, so results are reproducible bit-for-bit from a
-seed.
+seed.  :data:`ACTIVATIONS` maps each hidden nonlinearity's name to its
+function, for the teacher and the student alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-
-__all__ = [
-    "RngStream",
-    "as_matrix",
-    "matmul",
-    "row_softmax",
-    "gaussian_sample",
-    "elementwise",
-    "sigmoid",
-    "relu",
-]
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce ``values`` to a 2-D float64 array (copying only if needed)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
+__all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS"]
 
 
 class RngStream:
@@ -75,36 +55,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, path={self.path})"
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ")
-    return a @ b
-
-
-def row_softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of ``logits / temperature``.
-
-    Stabilised by subtracting each row's maximum before exponentiation,
-    so arbitrarily large logits (or small temperatures) stay finite.
-    """
-    if not temperature > 0:
-        raise DomainError(f"temperature must be positive, got {temperature}")
-    z = as_matrix(logits) / float(temperature)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def gaussian_sample(rng: RngStream, rows: int, cols: int) -> np.ndarray:
-    """i.i.d. standard normal matrix drawn from ``rng``."""
-    if rows < 1 or cols < 1:
-        raise DomainError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
-    return rng.normal(rows, cols)
-
-
 def sigmoid(x) -> np.ndarray:
     """Logistic function, computed without overflow for large |x|."""
     x = np.asarray(x, dtype=np.float64)
@@ -118,55 +68,4 @@ def relu(x) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
-_UNARY = {
-    "square": np.square,
-    "sqrt": None,  # domain-checked below
-    "exp": np.exp,
-    "log": None,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "neg": np.negative,
-    "abs": np.abs,
-}
-
-_BINARY = {
-    "add": np.add,
-    "subtract": np.subtract,
-    "multiply": np.multiply,
-}
-
-
-def elementwise(kind: str, a, b=None, *, scale: float | None = None) -> np.ndarray:
-    """Entrywise operation dispatch.
-
-    Unary kinds: square, sqrt, exp, log, sigmoid, relu, neg, abs, scale
-    (with the ``scale`` keyword).  Binary kinds: add, subtract, multiply.
-    Domain violations (log of a non-positive entry, sqrt of a negative
-    entry) raise :class:`DomainError`; binary shape mismatches raise
-    :class:`ShapeError`.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if kind == "scale":
-        if scale is None:
-            raise DomainError("elementwise('scale', ...) requires the scale keyword")
-        return a * float(scale)
-    if kind in _BINARY:
-        if b is None:
-            raise DomainError(f"elementwise('{kind}', ...) requires two operands")
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape != b.shape:
-            raise ShapeError(f"shape mismatch for '{kind}': {a.shape} vs {b.shape}")
-        return _BINARY[kind](a, b)
-    if kind not in _UNARY:
-        raise DomainError(f"unknown elementwise kind '{kind}'")
-    if b is not None:
-        raise DomainError(f"elementwise('{kind}', ...) takes a single operand")
-    if kind == "log":
-        if np.any(a <= 0):
-            raise DomainError("log requires strictly positive entries")
-        return np.log(a)
-    if kind == "sqrt":
-        if np.any(a < 0):
-            raise DomainError("sqrt requires non-negative entries")
-        return np.sqrt(a)
-    return _UNARY[kind](a)
+ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid}

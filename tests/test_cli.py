@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from sparsedistill.cli import main
-from sparsedistill.teacher import read_manifest
+from sparsedistill.checkpoint import read_manifest
 
 from conftest import write_blob_idx
 
@@ -242,6 +242,17 @@ class TestRuntimeExitCodes:
                    "--test-labels", corpus["test_labels"]])
         assert rc == 1
 
+    def test_malformed_manifest(self, corpus, student_run, tmp_path, capsys):
+        for name in ("student.ckpt", "student.ckpt.bin"):
+            shutil.copy(Path(student_run["out"]) / name, tmp_path / name)
+        manifest = tmp_path / "student.ckpt"
+        manifest.write_text(manifest.read_text().replace("activation=relu", "activation=tanh"))
+        rc = main(["evaluate", "--student", str(manifest),
+                   "--test-images", corpus["test_images"],
+                   "--test-labels", corpus["test_labels"]])
+        assert rc == 1
+        assert "FormatError" in capsys.readouterr().err
+
 
 class TestTeacherArtifacts:
     def test_outputs_exist(self, teacher_run):
@@ -335,6 +346,28 @@ class TestStudentArtifacts:
             err = capsys.readouterr().err
             assert str(cfg) in err and repr(line.split("=")[0]) in err
 
+    def test_config_file_that_does_not_parse(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        for text, named in ((b"epochs 2\n", "expected key=value"), (b"epochs=1\n\xff\n", "UTF-8")):
+            cfg.write_bytes(text)
+            rc = main(["train-student", *data_flags(corpus), "--arch", "16-8-3",
+                       "--variant", "simple", "--config", str(cfg), "--out", str(tmp_path / "run")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert str(cfg) in err and named in err
+
+    @pytest.mark.parametrize("line", ["epochs=abc", "lr=fast", "seeds=1,x"])
+    def test_config_value_that_does_not_parse(self, corpus, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        command = "lowdata" if line.startswith("seeds") else "train-student"
+        rc = main([command, *data_flags(corpus), "--arch", "16-8-3", "--variant", "simple",
+                   "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        key, _, value = line.partition("=")
+        assert str(cfg) in err and repr(key) in err and repr(value) in err
+
 
 class TestEvaluate:
     def test_stdout_json_and_determinism(self, corpus, student_run, capsys):
@@ -397,6 +430,39 @@ class TestEvaluate:
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["config"]["compression_baseline"] == "teacher"
+
+
+def strict_json(text: str):
+    """Parse JSON that must not contain NaN or +-Infinity."""
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Infinite values are written as the strings "inf" and "-inf"."""
+
+    def test_evaluate_report_with_everything_pruned(self, corpus, student_run, tmp_path):
+        target = tmp_path / "report.json"
+        with pytest.warns(UserWarning, match="every weight was pruned"):
+            rc = main(["evaluate", "--student", student_run["student"], "--tau", "-50",
+                       "--test-images", corpus["test_images"],
+                       "--test-labels", corpus["test_labels"], "--out", str(target)])
+        assert rc == 0
+        row = strict_json(target.read_text())[0]
+        assert row["r_s"] == "inf" and row["footprint_compression"] > 0
+
+    def test_infinite_tau_in_config_and_session(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train-student", *data_flags(corpus), "--arch", "16-8-3",
+                     "--variant", "simple", "--epochs", "1", "--batch", "32",
+                     "--tau", "inf", "--out", str(out)]) == 0
+        assert strict_json((out / "config.json").read_text())["tau"] == "inf"
+        lines = (out / "session.jsonl").read_text().splitlines()
+        assert strict_json(lines[0])["train"]["tau"] == "inf"
+        for line in lines[1:]:
+            strict_json(line)
+        strict_json((out / "report.json").read_text())
 
 
 class TestLowdata:

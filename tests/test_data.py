@@ -5,8 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from sparsedistill.data import (Dataset, batch_iter, load_idx, subset,
-                                subset_indices, write_idx)
+from sparsedistill.data import Dataset, batch_iter, load_idx, subset_indices, write_idx
 from sparsedistill.errors import ConsistencyError, DomainError, FormatError, LengthError
 
 from conftest import make_blobs
@@ -141,7 +140,7 @@ class TestSubset:
 
     def test_subset_wraps_take(self):
         ds = make_blobs(60, 4, 3, seed=4)
-        sub = subset(ds, 12, seed=1)
+        sub = ds.take(subset_indices(ds, 12, seed=1))
         assert len(sub) == 12
         assert sub.n_features == 4
 

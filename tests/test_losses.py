@@ -8,8 +8,8 @@ import pytest
 import reference_autograd
 from sparsedistill.autograd import Tensor
 from sparsedistill.errors import DomainError, ShapeError, UsageError
-from sparsedistill.losses import (VARIANTS, BsrContext, LossConfig, _log_softmax, bsr, bsr_node,
-                                  concat_weights, cross_entropy, cross_entropy_node,
+from sparsedistill.losses import (VARIANTS, BsrContext, LossConfig, _log_softmax, bsr_node,
+                                  cross_entropy, cross_entropy_node,
                                   effective_lambda_v, hint_loss, hint_node,
                                   make_bsr_context, resolve_variant, total_loss,
                                   warmup_scale)
@@ -17,6 +17,7 @@ from sparsedistill.student import init_student
 from sparsedistill.tensor import RngStream
 
 from conftest import assert_matches_reference, finite_difference_check, net_param_tensors
+from reference_bsr import bsr, concat_weights
 
 LN_10 = 2.3025850929940457
 CE_DIAG2 = 0.2395447662218845          # logit 2 on the true class, 0 elsewhere
@@ -67,6 +68,8 @@ class TestLossConfig:
             LossConfig(temperature=0.0)
         with pytest.raises(DomainError):
             LossConfig(temperature=-2.0)
+        with pytest.raises(DomainError):
+            LossConfig(temperature=float("nan"))
 
     def test_variant_name_validation(self):
         with pytest.raises(UsageError):
@@ -81,6 +84,8 @@ class TestLossConfig:
             LossConfig(bsr_variant="l1lq", q=float("inf"))
         LossConfig(bsr_variant="l1lq", q=1.0)
         LossConfig(q=0.5)  # only checked when the l1lq norm is active
+        with pytest.raises(DomainError):
+            LossConfig(q=float("nan"))
 
     @staticmethod
     def assert_weight_rejected(name):

@@ -264,23 +264,26 @@ class TestKlGraphNodes:
             finite_difference_check(lambda: node(theta, logs2), [theta, logs2])
 
 
+def noisy_layer(layer, x, rng):
+    """One layer of the training forward, with its noise drawn from ``rng``."""
+    eps = rng.normal(x.shape[0], layer.shape[1])
+    params = [tuple(Tensor(a) for a in (layer.theta, layer.log_sigma2, layer.bias))]
+    return student_logits_node(params, x, [eps]).data
+
+
 class TestForward:
     def test_eval_is_masked_matrix_product(self):
         layer = layer_fixture()
         x = np.random.default_rng(3).normal(size=(6, 3))
         mask = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        out = variational_forward(layer, x, train=False, mask=mask)
+        out = variational_forward(layer, x, mask=mask)
         np.testing.assert_allclose(out, x @ (layer.theta * mask) + layer.bias, rtol=1e-12)
-        out_nomask = variational_forward(layer, x, train=False)
+        out_nomask = variational_forward(layer, x)
         np.testing.assert_allclose(out_nomask, x @ layer.theta + layer.bias, rtol=1e-12)
-
-    def test_train_requires_rng(self):
-        with pytest.raises(ConsistencyError):
-            variational_forward(layer_fixture(), np.zeros((2, 3)), train=True)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            variational_forward(layer_fixture(), np.zeros((2, 5)), train=False)
+            variational_forward(layer_fixture(), np.zeros((2, 5)))
 
     def test_noise_statistics_match_moment_formulas(self):
         # one input row replicated many times: each output row is an
@@ -289,7 +292,7 @@ class TestForward:
         x_row = np.array([[0.7, -1.1, 0.4]])
         n = 100_000
         x = np.repeat(x_row, n, axis=0)
-        out = variational_forward(layer, x, train=True, rng=RngStream(11))
+        out = noisy_layer(layer, x, RngStream(11))
         mean_expected = (x_row @ layer.theta + layer.bias)[0]
         var_expected = (x_row ** 2 @ np.exp(layer.log_sigma2))[0]
         se_mean = np.sqrt(var_expected / n)
@@ -301,8 +304,8 @@ class TestForward:
         theta = np.array([[0.8, -0.5], [0.3, 1.2]])
         layer = VariationalDenseLayer(theta, np.full((2, 2), -60.0), np.array([0.1, -0.2]))
         x = np.random.default_rng(4).normal(size=(8, 2))
-        noisy = variational_forward(layer, x, train=True, rng=RngStream(0))
-        exact = variational_forward(layer, x, train=False)
+        noisy = noisy_layer(layer, x, RngStream(0))
+        exact = variational_forward(layer, x)
         np.testing.assert_allclose(noisy, exact, atol=1e-8)
 
     def test_network_eval_matches_hand_chain(self):
@@ -312,24 +315,6 @@ class TestForward:
         h = np.maximum(x @ (net.layers[0].theta * masks[0]) + net.layers[0].bias, 0.0)
         expected = h @ (net.layers[1].theta * masks[1]) + net.layers[1].bias
         np.testing.assert_allclose(student_logits(net, x, masks=masks), expected, rtol=1e-12)
-
-    def test_train_forward_deterministic_under_seed(self):
-        net = init_student([4, 3, 2], seed=6)
-        x = np.random.default_rng(6).normal(size=(5, 4))
-        a = student_logits(net, x, train=True, rng=RngStream(9))
-        b = student_logits(net, x, train=True, rng=RngStream(9))
-        np.testing.assert_array_equal(a, b)
-        c = student_logits(net, x, train=True, rng=RngStream(10))
-        assert not np.array_equal(a, c)
-
-    def test_graph_forward_matches_numeric_train_path(self):
-        net = init_student([4, 3, 2], seed=7)
-        x = np.random.default_rng(7).normal(size=(5, 4))
-        rng = RngStream(21)
-        eps = [rng.child(i).normal(5, l.shape[1]) for i, l in enumerate(net.layers)]
-        node = student_logits_node(net_param_tensors(net), x, eps)
-        numeric = student_logits(net, x, train=True, rng=RngStream(21))
-        np.testing.assert_allclose(node.data, numeric, rtol=1e-12)
 
     def test_fused_layers_match_composed_graph(self):
         # 784-500-10 at batch 512; the second layer's input is a node that needs a gradient

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from sparsedistill.checkpoint import parse_arch, read_manifest, write_artifact
 from sparsedistill.data import Dataset
 from sparsedistill.errors import (ConsistencyError, FormatError, LengthError,
                                   ShapeError, StalenessError, TrainingError, UsageError)
 from sparsedistill.teacher import (DenseMLP, TeacherConfig, count_parameters,
                                    forward_logits, init_mlp, load_checkpoint,
-                                   load_logit_cache, parse_arch, payload_digest,
-                                   precompute_logits, read_manifest, save_checkpoint,
-                                   save_logit_cache, train_teacher, write_manifest)
+                                   load_logit_cache, payload_digest, precompute_logits,
+                                   save_checkpoint, save_logit_cache, train_teacher)
 from sparsedistill.tensor import relu, sigmoid
 
 from conftest import make_blobs
@@ -235,7 +235,8 @@ class TestCheckpoints:
             read_manifest(path)
 
     def test_manifest_round_trip(self, tmp_path):
-        entries = {"kind": "dense_mlp", "architecture": "6-5-3", "seed": 4}
-        write_manifest(tmp_path / "m.txt", entries)
+        fields = {"architecture": "6-5-3", "activation": "relu", "seed": None}
+        sha = write_artifact(tmp_path / "m.txt", "dense_mlp", fields, [])
         back = read_manifest(tmp_path / "m.txt")
-        assert back == {"kind": "dense_mlp", "architecture": "6-5-3", "seed": "4"}
+        assert back == {"kind": "dense_mlp", "architecture": "6-5-3", "activation": "relu",
+                        "seed": "", "digest": sha}

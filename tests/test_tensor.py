@@ -1,11 +1,14 @@
-"""Matrix primitives and the splittable random stream."""
+"""The splittable random stream, the package's softmax, and the nonlinearities."""
 
 import numpy as np
 import pytest
 
-from sparsedistill.errors import DomainError, ShapeError
-from sparsedistill.tensor import (RngStream, as_matrix, elementwise, gaussian_sample,
-                                  matmul, relu, row_softmax, sigmoid)
+from sparsedistill.losses import _log_softmax
+from sparsedistill.tensor import RngStream, relu, sigmoid
+
+
+def row_softmax(z, temperature=1.0):
+    return np.exp(_log_softmax(np.asarray(z, dtype=np.float64) / temperature))
 
 
 class TestRngStream:
@@ -51,30 +54,9 @@ class TestRngStream:
         np.testing.assert_array_equal(np.sort(p), np.arange(50))
 
 
-class TestAsMatrixAndMatmul:
-    def test_as_matrix_coerces_lists(self):
-        m = as_matrix([[1, 2], [3, 4]])
-        assert m.dtype == np.float64 and m.shape == (2, 2)
-
-    def test_as_matrix_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            as_matrix([1.0, 2.0])
-        with pytest.raises(ShapeError):
-            as_matrix(np.zeros((2, 2, 2)))
-
-    def test_matmul_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 3))
-            np.testing.assert_allclose(matmul(a, b), a @ b, rtol=1e-15)
-
-    def test_matmul_inner_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
 class TestRowSoftmax:
+    """The one softmax in the package, behind the data and the hint terms."""
+
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(1)
         z = rng.normal(size=(10, 7)) * 5
@@ -102,11 +84,6 @@ class TestRowSoftmax:
         assert np.all(np.isfinite(p))
         np.testing.assert_allclose(p[0, 0], 1.0, atol=1e-12)
 
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(DomainError):
-            row_softmax(np.zeros((1, 2)), temperature=0.0)
-        with pytest.raises(DomainError):
-            row_softmax(np.zeros((1, 2)), temperature=-1.0)
 
 
 class TestScalarNonlinearities:
@@ -122,52 +99,3 @@ class TestScalarNonlinearities:
     def test_relu(self):
         x = np.array([-2.0, -0.0, 0.5, 3.0])
         np.testing.assert_array_equal(relu(x), [0.0, 0.0, 0.5, 3.0])
-
-
-class TestElementwise:
-    def test_unary_kinds_match_numpy(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(0.1, 5.0, size=(4, 4))
-        np.testing.assert_allclose(elementwise("square", x), np.square(x))
-        np.testing.assert_allclose(elementwise("sqrt", x), np.sqrt(x))
-        np.testing.assert_allclose(elementwise("exp", x), np.exp(x))
-        np.testing.assert_allclose(elementwise("log", x), np.log(x))
-        np.testing.assert_allclose(elementwise("neg", x), -x)
-        np.testing.assert_allclose(elementwise("abs", -x), x)
-
-    def test_binary_kinds_and_scale(self):
-        a = np.arange(6.0).reshape(2, 3)
-        b = np.ones((2, 3))
-        np.testing.assert_array_equal(elementwise("add", a, b), a + 1)
-        np.testing.assert_array_equal(elementwise("subtract", a, b), a - 1)
-        np.testing.assert_array_equal(elementwise("multiply", a, b), a)
-        np.testing.assert_array_equal(elementwise("scale", a, scale=2.5), a * 2.5)
-
-    def test_domain_violations(self):
-        with pytest.raises(DomainError):
-            elementwise("log", np.array([[1.0, 0.0]]))
-        with pytest.raises(DomainError):
-            elementwise("sqrt", np.array([[-1.0]]))
-        with pytest.raises(DomainError):
-            elementwise("spin", np.zeros((1, 1)))
-        with pytest.raises(DomainError):
-            elementwise("add", np.zeros((1, 1)))
-        with pytest.raises(DomainError):
-            elementwise("exp", np.zeros((1, 1)), np.zeros((1, 1)))
-        with pytest.raises(DomainError):
-            elementwise("scale", np.zeros((1, 1)))
-
-    def test_binary_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            elementwise("add", np.zeros((2, 2)), np.zeros((3, 2)))
-
-
-class TestGaussianSample:
-    def test_shape_and_determinism(self):
-        a = gaussian_sample(RngStream(9), 5, 4)
-        assert a.shape == (5, 4)
-        np.testing.assert_array_equal(a, gaussian_sample(RngStream(9), 5, 4))
-
-    def test_rejects_empty_dimensions(self):
-        with pytest.raises(DomainError):
-            gaussian_sample(RngStream(0), 0, 3)
