@@ -52,9 +52,10 @@ class Tensor:
         return x if isinstance(x, Tensor) else Tensor(x)
 
     def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is not None:
+            self.grad += g
+        else:  # a copy: ``+`` hands one ``g`` to both operands, and clipping scales in place
+            self.grad = np.array(g, dtype=np.float64)
 
     def backward(self):
         """Backpropagate from this scalar node to all grad-requiring leaves."""

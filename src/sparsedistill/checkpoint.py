@@ -66,8 +66,10 @@ def read_manifest(path) -> dict:
             continue
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise FormatError(f"{path}:{lineno}: repeated key {key!r}")
+        entries[key] = value
     return entries
 
 

@@ -20,8 +20,7 @@ from .errors import FormatError, UsageError
 from .losses import LossConfig, VARIANTS, resolve_variant
 from .metrics import (SparsityReport, REPORT_FORMATS, compression_ratio, emit_report,
                       footprint, inference_time, json_line, remaining_parameters, to_json)
-from .optim import (StudentTrainConfig, evaluate_student, lowdata_sweep,
-                    summarize_sweep, train_student)
+from .optim import StudentTrainConfig, _score, lowdata_sweep, summarize_sweep, train_student
 from .student import load_student, prune_masks, save_student
 from .teacher import (TeacherConfig, count_parameters, load_checkpoint, load_logit_cache,
                       payload_digest, precompute_logits, save_checkpoint,
@@ -310,7 +309,7 @@ def _student_inputs(v, test_required: bool):
 def _student_report(net, tau, test_ds, teacher_net, config: dict,
                     timed_batch: int | None = None) -> SparsityReport:
     masks = prune_masks(net, tau)
-    scored = evaluate_student(net, test_ds, tau)
+    scored = _score(net, masks, test_ds, tau)
     biases = [l.bias for l in net.layers]
     fp = footprint(masks, biases)
     kept = remaining_parameters(masks, biases)

@@ -99,7 +99,9 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise ConsistencyError(f"{n} images but {n_labels} labels")
     labels = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
 
-    return Dataset(pixels.astype(np.float64) / 255.0, labels)
+    images = pixels.astype(np.float64)
+    images /= 255.0  # in place: one float64 copy of the pixels is held, not two
+    return Dataset(images, labels)
 
 
 def write_idx(images_u8: np.ndarray, labels: np.ndarray, images_path, labels_path,

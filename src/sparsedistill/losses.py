@@ -55,7 +55,7 @@ class LossConfig:
 
     def __post_init__(self):
         if not self.temperature > 0:
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
+            raise UsageError(f"temperature must be positive, got {self.temperature}")
         for name in ("lambda_t", "lambda_g", "lambda_v_max"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value >= 0):
@@ -67,7 +67,7 @@ class LossConfig:
         # a NaN q is refused even when unused: the run's config.json records it
         bad_q = not (np.isfinite(self.q) and self.q >= 1)
         if np.isnan(self.q) or (self.bsr_variant == "l1lq" and bad_q):
-            raise DomainError(f"q must be a finite number >= 1, got {self.q}")
+            raise UsageError(f"q must be a finite number >= 1, got {self.q}")
 
 
 def resolve_variant(variant: str, base: LossConfig | None = None,

@@ -25,6 +25,8 @@ from .tensor import RngStream
 __all__ = ["Adam", "StudentTrainConfig", "train_student", "evaluate_student",
            "lowdata_sweep", "summarize_sweep"]
 
+_ADAM_BLOCK = 16384  # elements: a block's g, m, v, p and scratch (768 KiB) stay in L2
+
 
 class Adam(object):
     """Adam with bias correction; updates parameter arrays in place."""
@@ -35,29 +37,36 @@ class Adam(object):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = [np.zeros(p.data.size) for p in self.params]  # flat, row-major
+        self._v = [np.zeros(p.data.size) for p in self.params]
+        self._scratch = np.empty((2, _ADAM_BLOCK))
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
+        """Update in blocks of ``_ADAM_BLOCK`` elements: the unblocked ufuncs, order and bits."""
         self.t += 1
+        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad
-            if not np.all(np.isfinite(g)):
+            if not np.all(np.isfinite(p.grad)):
                 raise TrainingError(f"non-finite gradient in parameter {i}", param=i)
-            # in place: reallocating the moments each step fragments the heap
-            self._m[i] *= self.beta1
-            self._m[i] += (1.0 - self.beta1) * g
-            self._v[i] *= self.beta2
-            self._v[i] += (1.0 - self.beta2) * np.square(g)
-            m_hat = self._m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self._v[i] / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            data, grad = p.data.reshape(-1), p.grad.reshape(-1)
+            for lo in range(0, data.size, _ADAM_BLOCK):
+                g, m, v, x = (y[lo:lo + _ADAM_BLOCK] for y in (grad, self._m[i], self._v[i], data))
+                a, b = self._scratch[:, :len(g)]
+                m *= self.beta1
+                m += np.multiply(g, 1.0 - self.beta1, out=a)
+                v *= self.beta2
+                v += np.multiply(np.square(g, out=a), 1.0 - self.beta2, out=a)
+                np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
+                np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+                x -= np.divide(a, b, out=a)
+            if not p.data.flags.c_contiguous:  # then reshape copied it: write the copy back
+                p.data[...] = data.reshape(p.data.shape)
 
 
 @dataclass
@@ -190,7 +199,10 @@ def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
 
 def evaluate_student(net: StudentNet, ds: Dataset | None, tau: float) -> dict:
     """Deterministic pruned-network metrics; the error needs a dataset ``ds``."""
-    masks = prune_masks(net, tau)
+    return _score(net, prune_masks(net, tau), ds, tau)
+
+
+def _score(net: StudentNet, masks, ds: Dataset | None, tau: float) -> dict:
     out = {
         "per_layer_sparsity": per_layer_sparsity_pct(masks),
         "r_s": sparsity_ratio(masks),

@@ -42,6 +42,8 @@ __all__ = [
     "load_logit_cache",
 ]
 
+_FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB
+
 
 @dataclass
 class DenseMLP:
@@ -105,19 +107,25 @@ def init_mlp(arch, seed: int, activation: str = "relu") -> DenseMLP:
 
 
 def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
-    """Pre-softmax outputs for a batch of rows."""
+    """Pre-softmax outputs in row blocks of at most ``_FORWARD_ROWS`` rows, of equal size
+    within one row: BLAS would sum a short last block's few rows in another order."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.weights[0].shape[0]:
         raise ShapeError(
             f"batch shape {x.shape} incompatible with input width {net.weights[0].shape[0]}"
         )
     act = ACTIVATIONS[net.activation]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        # the bias is added in place so that one fewer batch-by-width array is live
-        x = x @ w
-        x += b
-        x = act(x)
-    return x @ net.weights[-1] + net.biases[-1]
+    out = np.empty((len(x), net.weights[-1].shape[1]))
+    n_blocks = max(1, -(-len(x) // _FORWARD_ROWS))
+    for h, block in zip(np.array_split(x, n_blocks), np.array_split(out, n_blocks)):
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            # the bias is added in place so that one fewer block-by-width array is live
+            h = h @ w
+            h += b
+            h = act(h)
+        np.matmul(h, net.weights[-1], out=block)
+        block += net.biases[-1]
+    return out
 
 
 def _forward_node(weight_ts, bias_ts, x: np.ndarray, activation: str) -> Tensor:
@@ -173,13 +181,9 @@ def train_teacher(ds: Dataset, config: TeacherConfig, test_ds: Dataset | None = 
     return net, records
 
 
-def precompute_logits(net: DenseMLP, ds: Dataset, batch_size: int = 4096) -> LogitCache:
+def precompute_logits(net: DenseMLP, ds: Dataset) -> LogitCache:
     """Teacher logits for every dataset row, tagged with the teacher digest."""
-    chunks = [
-        forward_logits(net, ds.images[i:i + batch_size])
-        for i in range(0, len(ds), batch_size)
-    ]
-    return LogitCache(np.vstack(chunks), teacher_digest=payload_digest(net))
+    return LogitCache(forward_logits(net, ds.images), teacher_digest=payload_digest(net))
 
 
 # -- checkpoint serialization ------------------------------------------------

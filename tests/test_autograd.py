@@ -12,6 +12,7 @@ import pytest
 import reference_autograd as ref
 from reference_autograd import constant, maximum, maximum_of, parameter
 from sparsedistill.autograd import Tensor
+from sparsedistill.optim import _clip_global_norm
 
 from conftest import finite_difference_check
 
@@ -211,6 +212,20 @@ class TestGraphStructure:
         x = Tensor(np.array([3.0]), requires_grad=True)
         (x * x + x).sum().backward()
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_first_gradient_is_a_copy(self):
+        # ``+`` hands one gradient array to both operands; the first one each
+        # leaf receives must be its own copy, or ``+=`` and in-place clipping
+        # write through to the other
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        (x + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        _clip_global_norm([a], 0.5)
+        np.testing.assert_array_equal(b.grad, np.ones(3))
 
     def test_diamond_graph(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

@@ -206,6 +206,14 @@ class TestBadValuesExit2:
                                 "--out", str(tmp_path)) == 2
             assert f"got {float(value)}" in capsys.readouterr().err
 
+    def test_nonpositive_temperature_and_bad_q(self, corpus, teacher_run, tmp_path, capsys):
+        for flags, named in ((("--temperature", "0"), "temperature must be positive, got 0.0"),
+                             (("--temperature", "-2"), "got -2.0"),
+                             (("--bsr", "l1lq", "--q", "0.5"), "got 0.5")):
+            assert self.student(corpus, "--variant", "kd", *flags, "--out", str(tmp_path),
+                                teacher_run=teacher_run) == 2
+            assert named in capsys.readouterr().err
+
     def test_group_weight_the_run_would_ignore(self, corpus, teacher_run, tmp_path, capsys):
         for variant, flags in (("simple", ()), ("kd", ()), ("kd-vbd", ()),
                                ("st-svd", ("--bsr", "none"))):
@@ -252,6 +260,19 @@ class TestRuntimeExitCodes:
                    "--test-labels", corpus["test_labels"]])
         assert rc == 1
         assert "FormatError" in capsys.readouterr().err
+
+    def test_repeated_manifest_key(self, corpus, student_run, tmp_path, capsys):
+        for name in ("student.ckpt", "student.ckpt.bin"):
+            shutil.copy(Path(student_run["out"]) / name, tmp_path / name)
+        manifest = tmp_path / "student.ckpt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + ["digest=" + "0" * 64]) + "\n")
+        rc = main(["evaluate", "--student", str(manifest),
+                   "--test-images", corpus["test_images"],
+                   "--test-labels", corpus["test_labels"]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "FormatError" in err and f"{manifest}:{len(lines) + 1}" in err and "'digest'" in err
 
 
 class TestTeacherArtifacts:
@@ -345,6 +366,16 @@ class TestStudentArtifacts:
             assert rc == 2
             err = capsys.readouterr().err
             assert str(cfg) in err and repr(line.split("=")[0]) in err
+
+    def test_repeated_config_key(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nseed=2\nepochs=3\n")
+        rc = main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                   "--variant", "simple", "--batch", "32", "--config", str(cfg),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3" in err and "'epochs'" in err
 
     def test_config_file_that_does_not_parse(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

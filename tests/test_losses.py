@@ -64,11 +64,11 @@ def composed_bsr(ctx, thetas):
 
 class TestLossConfig:
     def test_temperature_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             LossConfig(temperature=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             LossConfig(temperature=-2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             LossConfig(temperature=float("nan"))
 
     def test_variant_name_validation(self):
@@ -78,13 +78,13 @@ class TestLossConfig:
             LossConfig(bsr_variant="l2l1")
 
     def test_q_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             LossConfig(bsr_variant="l1lq", q=0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             LossConfig(bsr_variant="l1lq", q=float("inf"))
         LossConfig(bsr_variant="l1lq", q=1.0)
         LossConfig(q=0.5)  # only checked when the l1lq norm is active
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             LossConfig(q=float("nan"))
 
     @staticmethod

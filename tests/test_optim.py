@@ -9,7 +9,7 @@ from sparsedistill.autograd import Tensor
 from sparsedistill.data import subset_indices
 from sparsedistill.errors import ConsistencyError, TrainingError, UsageError
 from sparsedistill.losses import LossConfig, resolve_variant
-from sparsedistill.optim import (Adam, StudentTrainConfig, _clip_global_norm,
+from sparsedistill.optim import (_ADAM_BLOCK, Adam, StudentTrainConfig, _clip_global_norm,
                                  evaluate_student, lowdata_sweep, summarize_sweep,
                                  train_student)
 from sparsedistill.student import init_student, student_digest
@@ -96,19 +96,32 @@ class TestAdam:
 
     def test_moments_update_in_place_and_match_the_formula(self):
         rng = np.random.default_rng(5)
-        p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        want, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
-        opt = Adam([p], lr=0.01)
-        moments = (opt._m[0], opt._v[0])
+        arrays = [rng.normal(size=(4, 3)),
+                  rng.normal(size=3 * _ADAM_BLOCK + 7),          # three blocks and a tail
+                  rng.normal(size=1),
+                  np.asfortranarray(rng.normal(size=(5, 7))),
+                  rng.normal(size=(7, 5)).T,
+                  rng.normal(size=(6, 8))[::2, ::3]]             # neither C nor F order
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        assert all(p.data is a for p, a in zip(params, arrays))
+        want = [a.copy() for a in arrays]
+        m = [np.zeros(a.shape) for a in arrays]
+        v = [np.zeros(a.shape) for a in arrays]
+        opt = Adam(params, lr=0.01)
+        moments = opt._m + opt._v
         for t in range(1, 4):
-            g = rng.normal(size=(4, 3))
-            p.grad = g.copy()
+            for k, p in enumerate(params):
+                g = rng.normal(size=p.data.shape)
+                # one gradient in column-major order, as a transposed product gives
+                p.grad = np.asfortranarray(g) if k == 0 else g.copy()
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * np.square(g)
+                want[k] -= 0.01 * (m[k] / (1.0 - 0.9 ** t)) / (np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
             opt.step()
-            m = 0.9 * m + (1.0 - 0.9) * g
-            v = 0.999 * v + (1.0 - 0.999) * np.square(g)
-            want -= 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
-        np.testing.assert_array_equal(p.data, want)
-        assert opt._m[0] is moments[0] and opt._v[0] is moments[1]
+        for p, a, w in zip(params, arrays, want):
+            assert p.data is a
+            np.testing.assert_array_equal(p.data, w)
+        assert all(x is y for x, y in zip(opt._m + opt._v, moments))
 
     def test_zero_grad_resets_to_none(self):
         p = Tensor(np.array([1.0]), requires_grad=True)

@@ -103,6 +103,18 @@ class TestInitAndForward:
             for b, before in zip(net.biases, biases_before):
                 np.testing.assert_array_equal(b, before)
 
+    def test_row_blocks_equal_a_single_pass(self):
+        # the paper's last layer (1200 -> 10), where BLAS sums a few rows in
+        # another order than many, so a short last block would change the bits
+        net = init_mlp([32, 1200, 10], seed=0)
+        x = np.random.default_rng(4).random((2049, 32))
+        for n in (1023, 1024, 1025, 2049):
+            want = x[:n]
+            for w, b in zip(net.weights[:-1], net.biases[:-1]):
+                want = relu(want @ w + b)
+            want = want @ net.weights[-1] + net.biases[-1]
+            np.testing.assert_array_equal(forward_logits(net, x[:n]), want)
+
     def test_forward_shape_check(self):
         net = init_mlp([4, 3, 2], seed=0)
         with pytest.raises(ShapeError):
@@ -163,8 +175,8 @@ class TestLogitCache:
     def test_matches_direct_forward(self):
         ds = make_blobs(50, 6, 3, seed=3)
         net = init_mlp([6, 5, 3], seed=0)
-        cache = precompute_logits(net, ds, batch_size=16)
-        np.testing.assert_allclose(cache.logits, forward_logits(net, ds.images), rtol=1e-12)
+        cache = precompute_logits(net, ds)
+        np.testing.assert_array_equal(cache.logits, forward_logits(net, ds.images))
         assert cache.teacher_digest == payload_digest(net)
         assert len(cache) == 50
 
