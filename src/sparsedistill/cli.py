@@ -10,6 +10,7 @@ resolved configuration.  Exit codes: 0 on success, 2 on usage problems,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -28,10 +29,6 @@ from .teacher import (TeacherConfig, count_parameters, load_checkpoint, load_log
 
 __all__ = ["main", "build_parser"]
 
-TEACHER_ARCH = "784-1200-1200-10"
-STUDENT_ARCH = "784-500-50-10"
-DEFAULT_SIZES = "100,500,1000,5000,10000"
-
 
 # -- option plumbing ----------------------------------------------------------
 
@@ -43,7 +40,7 @@ def _arch(text: str) -> str:
 
 def _sizes(text: str) -> list[int]:
     try:
-        out = [int(p) for p in str(text).split(",") if p.strip()]
+        out = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise UsageError(f"bad size list {text!r}; expected comma-separated integers")
     if not out or any(s < 1 for s in out):
@@ -51,7 +48,7 @@ def _sizes(text: str) -> list[int]:
     return out
 
 
-def _seed(text) -> int:
+def _seed(text: str) -> int:
     seed = int(text)
     if seed < 0:
         raise UsageError(f"seeds must be non-negative integers, got {seed}")
@@ -60,7 +57,6 @@ def _seed(text) -> int:
 
 def _seeds(text: str) -> list[int]:
     """A bare integer N means seeds 0..N-1; a comma list of distinct seeds is used as given."""
-    text = str(text)
     if "," in text:
         seeds = [_seed(p) for p in text.split(",") if p.strip()]
         if len(set(seeds)) != len(seeds):
@@ -75,8 +71,8 @@ def _seeds(text: str) -> list[int]:
     return list(range(n))
 
 
-def _lambda_v(text) -> float | None:
-    if text is None or str(text).lower() in ("auto", "none", ""):
+def _lambda_v(text: str) -> float | None:
+    if text.lower() in ("auto", "none", ""):
         return None
     return float(text)
 
@@ -89,45 +85,55 @@ def _choice(name, options):
     return convert
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    if str(text).lower() in ("1", "true", "yes", "on"):
+def _bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
         return True
-    if str(text).lower() in ("0", "false", "no", "off"):
+    if text.lower() in ("0", "false", "no", "off"):
         return False
     raise UsageError(f"bad boolean {text!r}")
 
 
-_CONVERTERS = {
-    "arch": _arch,
-    "variant": _choice("variant", VARIANTS),
-    "kl": _choice("kl variant", ("svd", "vbd")),
-    "bsr": _choice("group-norm variant", ("none", "l1linf", "l1l2", "l1lq")),
-    "q": float,
-    "temperature": float,
-    "lambda_t": float,
-    "lambda_v": _lambda_v,
-    "lambda_g": float,
-    "warmup_epochs": int,
-    "epochs": int,
-    "batch": int,
-    "lr": float,
-    "tau": float,
-    "seed": _seed,
-    "sizes": _sizes,
-    "seeds": _seeds,
-    "format": _choice("report format", REPORT_FORMATS),
-    "time": _bool,
-    "hint_reverse": _bool,
-    "clip": float,
-    "activation": _choice("activation", ("relu", "sigmoid")),
+# The one declaration of every flag: dest -> (converter, help).  Flags, config
+# file values and each subcommand's default text (``_COMMANDS``) all go through
+# the converter; a ``_bool`` flag is a switch on the command line.
+_FLAGS = {
+    "train_images": (str, "IDX image file for training"),
+    "train_labels": (str, "IDX label file for training"),
+    "test_images": (str, "IDX image file for evaluation"),
+    "test_labels": (str, "IDX label file for evaluation"),
+    "config": (str, "key=value file; flags override it"),
+    "out": (str, "output directory; for evaluate, the report file (stdout without it)"),
+    "teacher": (str, "teacher checkpoint (manifest path); evaluate takes it as the "
+                     "compression baseline"),
+    "cache": (str, "teacher logit cache (manifest path); needs --teacher"),
+    "student": (str, "student checkpoint (manifest path)"),
+    "arch": (_arch, "dash-separated widths"),
+    "variant": (_choice("variant", VARIANTS), "one of " + ", ".join(VARIANTS)),
+    "kl": (_choice("kl variant", ("svd", "vbd")), "posterior penalty: svd or vbd"),
+    "bsr": (_choice("group-norm variant", ("none", "l1linf", "l1l2", "l1lq")),
+            "row-group norm: none, l1linf, l1l2, or l1lq"),
+    "q": (float, "inner norm order for l1lq"),
+    "temperature": (float, "softening temperature"),
+    "lambda_t": (float, "hint weight"),
+    "lambda_v": (_lambda_v, "KL weight ceiling; 'auto' = 1/n_train"),
+    "lambda_g": (float, "group-norm weight (0.01 when the variant has a group term)"),
+    "warmup_epochs": (int, "epochs to ramp the KL weight"),
+    "epochs": (int, "training epochs"),
+    "batch": (int, "batch size; for evaluate, that of the timed forward pass"),
+    "lr": (float, "Adam step size"),
+    "tau": (float, "prune weights with log alpha above this"),
+    "seed": (_seed, "run seed"),
+    "sizes": (_sizes, "comma-separated subset sizes"),
+    "seeds": (_seeds, "seed count, or comma-separated seed list"),
+    "format": (_choice("report format", REPORT_FORMATS), "report format: json, markdown, or csv"),
+    "time": (_bool, "also measure inference time, which makes output nondeterministic"),
+    "hint_reverse": (_bool, "swap the roles in the hint divergence"),
+    "clip": (float, "clip the joint gradient l2 norm to this value (off by default)"),
+    "activation": (_choice("activation", ("relu", "sigmoid")), "hidden nonlinearity"),
 }
 
 
-def _argparse_type(dest):
-    convert = _CONVERTERS[dest]
-
+def _argparse_type(convert):
     def wrapped(text):
         try:
             return convert(text)
@@ -137,11 +143,12 @@ def _argparse_type(dest):
 
 
 class Resolved:
-    """flags > config file > defaults, with file values type-converted."""
+    """flags > config file > defaults, the last two through the flag's converter."""
 
     def __init__(self, args: argparse.Namespace, defaults: dict):
         self.flags = vars(args)
-        self.defaults = defaults
+        self.defaults = {k: None if text is None else _FLAGS[k][0](text)
+                         for k, text in defaults.items()}
         self.file = {}
         if self.flags.get("config"):
             path = _require_file(self.flags["config"], "config file")
@@ -151,11 +158,11 @@ class Resolved:
                 raise UsageError(str(exc))
             for key, value in entries.items():
                 dest = key.replace("-", "_")
-                if dest not in self.flags or dest in ("command", "func", "config"):
+                if dest not in self.flags or dest in ("command", "config"):
                     raise UsageError(f"{path}: unknown key {key!r}; "
                                      "it is not a flag of this command")
                 try:
-                    self.file[dest] = _CONVERTERS.get(dest, str)(value)
+                    self.file[dest] = _FLAGS[dest][0](value)
                 except ValueError as exc:
                     raise UsageError(f"{path}: bad value {value!r} for key {key!r}: {exc}")
 
@@ -229,24 +236,8 @@ def build_loss_config(v) -> LossConfig:
 
 # -- subcommands ----------------------------------------------------------------
 
-_TEACHER_DEFAULTS = {"arch": TEACHER_ARCH, "epochs": 100, "batch": 128, "lr": 1e-3,
-                     "seed": 0, "activation": "relu", "out": "runs/teacher"}
 
-_STUDENT_DEFAULTS = {"arch": STUDENT_ARCH, "variant": "kd-svd", "kl": None, "bsr": None,
-                     "q": 2.0, "temperature": 2.0, "lambda_t": 2.0, "lambda_v": None,
-                     "lambda_g": None, "warmup_epochs": 10, "epochs": 100, "batch": 512,
-                     "lr": 1e-3, "tau": 3.0, "seed": 0, "activation": "relu",
-                     "hint_reverse": False, "clip": None, "out": "runs/student",
-                     "format": "json"}
-
-_EVAL_DEFAULTS = {"tau": 3.0, "format": "json", "time": False, "batch": 100}
-
-_LOWDATA_DEFAULTS = dict(_STUDENT_DEFAULTS, sizes=_sizes(DEFAULT_SIZES), seeds=_seeds("3"),
-                         epochs=30, out="runs/lowdata")
-
-
-def cmd_train_teacher(args) -> int:
-    v = Resolved(args, _TEACHER_DEFAULTS)
+def cmd_train_teacher(v: Resolved) -> int:
     train_ds = _load_pair(v, "train", required=True)
     test_ds = _load_pair(v, "test", required=False)
     arch = _check_arch_against(v("arch"), train_ds)
@@ -277,6 +268,8 @@ def _load_teacher_and_cache(v, train_ds):
     """Returns (teacher_net, logits aligned with train_ds) or (None, None)."""
     teacher_path = v("teacher")
     if teacher_path is None:
+        if v("cache") is not None:
+            raise UsageError("--cache needs --teacher, the checkpoint its logits were made by")
         return None, None
     net = load_checkpoint(_require_file(teacher_path, "teacher checkpoint"))
     digest = payload_digest(net)
@@ -300,8 +293,9 @@ def _student_inputs(v, test_required: bool):
     arch = _check_arch_against(v("arch"), train_ds)
     loss_cfg = build_loss_config(v)
     teacher_net, logits = _load_teacher_and_cache(v, train_ds)
+    # lowdata has no --seed: lowdata_sweep gives each run a seed from --seeds
     cfg = StudentTrainConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
-                             lr=v("lr"), seed=v("seed"), tau=v("tau"),
+                             lr=v("lr"), seed=v("seed") or 0, tau=v("tau"),
                              activation=v("activation"), grad_clip=v("clip"))
     return train_ds, test_ds, loss_cfg, cfg, teacher_net, logits
 
@@ -334,8 +328,7 @@ def _student_report(net, tau, test_ds, teacher_net, config: dict,
     return report
 
 
-def cmd_train_student(args) -> int:
-    v = Resolved(args, _STUDENT_DEFAULTS)
+def cmd_train_student(v: Resolved) -> int:
     train_ds, test_ds, loss_cfg, cfg, teacher_net, logits = _student_inputs(v, False)
     if v("variant") != "simple" and teacher_net is None:
         raise UsageError(f"variant {v('variant')!r} needs --teacher (only 'simple' runs without one)")
@@ -362,8 +355,11 @@ def cmd_train_student(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    v = Resolved(args, _EVAL_DEFAULTS)
+def cmd_evaluate(v: Resolved) -> int:
+    if math.isnan(v("tau")):
+        raise UsageError(f"tau must be a number, got {v('tau')}")
+    if v("batch") < 1:
+        raise UsageError(f"batch size must be at least 1, got {v('batch')}")
     net, _ = load_student(_require_file(v("student"), "student checkpoint"))
     test_ds = _load_pair(v, "test", required=True)
     teacher_net = None
@@ -383,11 +379,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_lowdata(args) -> int:
-    v = Resolved(args, _LOWDATA_DEFAULTS)
+def cmd_lowdata(v: Resolved) -> int:
     train_ds, test_ds, loss_cfg, cfg, teacher_net, logits = _student_inputs(v, True)
     if teacher_net is None:
         raise UsageError("lowdata needs --teacher for the hint comparison")
+    if max(v("sizes")) > len(train_ds):
+        raise UsageError(f"subset size {max(v('sizes'))} is above the {len(train_ds)} "
+                         "rows of the training set")
     rows = lowdata_sweep(train_ds, test_ds, logits, loss_cfg, cfg,
                          v("sizes"), v("seeds"),
                          teacher_weights=teacher_net.weights)
@@ -407,53 +405,31 @@ def cmd_lowdata(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_data_flags(p, train=True, test=True):
-    if train:
-        p.add_argument("--train-images", help="IDX image file for training")
-        p.add_argument("--train-labels", help="IDX label file for training")
-    if test:
-        p.add_argument("--test-images", help="IDX image file for evaluation")
-        p.add_argument("--test-labels", help="IDX label file for evaluation")
+_STUDENT = {"arch": "784-500-50-10", "variant": "kd-svd", "kl": None, "bsr": None, "q": "2",
+            "temperature": "2", "lambda_t": "2", "lambda_v": "auto", "lambda_g": None,
+            "warmup_epochs": "10", "epochs": "100", "batch": "512", "lr": "1e-3", "tau": "3",
+            "seed": "0", "activation": "relu", "hint_reverse": "false", "clip": None,
+            "out": "runs/student", "format": "json"}
+_INPUTS = ("train_images", "train_labels", "test_images", "test_labels", "config")
 
-
-def _add_common(p):
-    p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--out", help="output directory (or file for evaluate)")
-    p.add_argument("--seed", type=_argparse_type("seed"), help="run seed")
-
-
-def _add_student_flags(p):
-    p.add_argument("--arch", type=_argparse_type("arch"),
-                   help=f"dash-separated widths (default {STUDENT_ARCH})")
-    p.add_argument("--variant", type=_argparse_type("variant"),
-                   help="one of " + ", ".join(VARIANTS) + " (default kd-svd)")
-    p.add_argument("--kl", type=_argparse_type("kl"), help="posterior penalty: svd or vbd")
-    p.add_argument("--bsr", type=_argparse_type("bsr"),
-                   help="row-group norm: none, l1linf, l1l2, or l1lq")
-    p.add_argument("--q", type=_argparse_type("q"), help="inner norm order for l1lq (default 2)")
-    p.add_argument("--temperature", type=_argparse_type("temperature"),
-                   help="softening temperature (default 2)")
-    p.add_argument("--lambda-t", type=_argparse_type("lambda_t"),
-                   help="hint weight (default 2)")
-    p.add_argument("--lambda-v", type=_argparse_type("lambda_v"),
-                   help="KL weight ceiling; 'auto' = 1/n_train (default auto)")
-    p.add_argument("--lambda-g", type=_argparse_type("lambda_g"),
-                   help="group-norm weight (default 0.01 when active)")
-    p.add_argument("--warmup-epochs", type=_argparse_type("warmup_epochs"),
-                   help="epochs to ramp the KL weight (default 10)")
-    p.add_argument("--epochs", type=_argparse_type("epochs"), help="training epochs")
-    p.add_argument("--batch", type=_argparse_type("batch"), help="batch size (default 512)")
-    p.add_argument("--lr", type=_argparse_type("lr"), help="Adam step size (default 1e-3)")
-    p.add_argument("--tau", type=_argparse_type("tau"),
-                   help="prune weights with log alpha above this (default 3)")
-    p.add_argument("--hint-reverse", action="store_const", const=True, dest="hint_reverse",
-                   help="swap the roles in the hint divergence")
-    p.add_argument("--clip", type=_argparse_type("clip"),
-                   help="clip the joint gradient l2 norm to this value (off by default)")
-    p.add_argument("--activation", type=_argparse_type("activation"),
-                   help="hidden nonlinearity (default relu)")
-    p.add_argument("--format", type=_argparse_type("format"),
-                   help="report format: json, markdown, or csv")
+# name -> (command, help, flags without a default, {flag: default text or None}).
+# The defaults' keys, in order, are the settings config.json, report.json and
+# sweep.json record.  lowdata takes its seeds from --seeds and writes no report.
+_COMMANDS = {
+    "train-teacher": (cmd_train_teacher, "train the dense teacher and cache its logits", _INPUTS,
+                      {"arch": "784-1200-1200-10", "epochs": "100", "batch": "128", "lr": "1e-3",
+                       "seed": "0", "activation": "relu", "out": "runs/teacher"}),
+    "train-student": (cmd_train_student, "train a variational student against a teacher",
+                      (*_INPUTS, "teacher", "cache"), _STUDENT),
+    "evaluate": (cmd_evaluate, "score a student checkpoint at a pruning threshold",
+                 ("test_images", "test_labels", "config", "out", "student", "teacher"),
+                 {"tau": "3", "format": "json", "time": "false", "batch": "100"}),
+    "lowdata": (cmd_lowdata, "sweep training-set sizes with and without the hint",
+                (*_INPUTS, "teacher", "cache"),
+                {**{k: d for k, d in _STUDENT.items() if k not in ("seed", "format")},
+                 "epochs": "30", "out": "runs/lowdata",
+                 "sizes": "100,500,1000,5000,10000", "seeds": "3"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,61 +438,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train a dense teacher, distill it into a sparse variational "
                     "student, prune, and report compression metrics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train-teacher", help="train the dense teacher and cache its logits")
-    _add_data_flags(p)
-    _add_common(p)
-    p.add_argument("--arch", type=_argparse_type("arch"),
-                   help=f"dash-separated widths (default {TEACHER_ARCH})")
-    p.add_argument("--epochs", type=_argparse_type("epochs"), help="training epochs (default 100)")
-    p.add_argument("--batch", type=_argparse_type("batch"), help="batch size (default 128)")
-    p.add_argument("--lr", type=_argparse_type("lr"), help="Adam step size (default 1e-3)")
-    p.add_argument("--activation", type=_argparse_type("activation"),
-                   help="hidden nonlinearity (default relu)")
-    p.set_defaults(func=cmd_train_teacher)
-
-    p = sub.add_parser("train-student", help="train a variational student against a teacher")
-    _add_data_flags(p)
-    _add_common(p)
-    p.add_argument("--teacher", help="teacher checkpoint (manifest path)")
-    p.add_argument("--cache", help="teacher logit cache (manifest path)")
-    _add_student_flags(p)
-    p.set_defaults(func=cmd_train_student)
-
-    p = sub.add_parser("evaluate", help="score a student checkpoint at a pruning threshold")
-    _add_data_flags(p, train=False)
-    _add_common(p)
-    p.add_argument("--student", help="student checkpoint (manifest path)")
-    p.add_argument("--teacher", help="teacher checkpoint for compression baselines")
-    p.add_argument("--tau", type=_argparse_type("tau"), help="pruning threshold (default 3)")
-    p.add_argument("--format", type=_argparse_type("format"),
-                   help="report format: json, markdown, or csv")
-    p.add_argument("--time", action="store_const", const=True, dest="time",
-                   help="also measure inference time (makes output nondeterministic)")
-    p.add_argument("--batch", type=_argparse_type("batch"),
-                   help="batch size for the timed forward pass (default 100)")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("lowdata", help="sweep training-set sizes with and without the hint")
-    _add_data_flags(p)
-    _add_common(p)
-    p.add_argument("--teacher", help="teacher checkpoint (manifest path)")
-    p.add_argument("--cache", help="teacher logit cache (manifest path)")
-    p.add_argument("--sizes", type=_argparse_type("sizes"),
-                   help=f"comma-separated subset sizes (default {DEFAULT_SIZES})")
-    p.add_argument("--seeds", type=_argparse_type("seeds"),
-                   help="seed count, or comma-separated seed list (default 3)")
-    _add_student_flags(p)
-    p.set_defaults(func=cmd_lowdata)
-
+    for name, (_, help_text, plain, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # lowdata --seed != --seeds
+        for dest in (*plain, *defaults):
+            convert, text = _FLAGS[dest]
+            if defaults.get(dest) is not None:
+                text += f" (default {defaults[dest]})"
+            kind = (dict(action="store_const", const=True) if convert is _bool
+                    else dict(type=_argparse_type(convert)))
+            p.add_argument("--" + dest.replace("_", "-"), help=text, **kind)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command, _, _, defaults = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command(Resolved(args, defaults))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ it is on PATH.
 """
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsedistill.cli import main
+from sparsedistill.cli import _COMMANDS, _FLAGS, main
 from sparsedistill.checkpoint import read_manifest
 
 from conftest import write_blob_idx
@@ -164,6 +165,14 @@ class TestUsageExitCodes:
                    "--config", "/no/such/config"])
         assert rc == 2
 
+    def test_cache_without_teacher(self, corpus, tmp_path, capsys):
+        rc = main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                   "--variant", "simple", "--epochs", "1", "--cache", "/no/such/cache",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--cache needs --teacher" in capsys.readouterr().err
+        assert not (tmp_path / "student.ckpt").exists()
+
 
 class TestBadValuesExit2:
     """Values that parse but cannot be trained with fail with exit 2 and name the value."""
@@ -228,6 +237,27 @@ class TestBadValuesExit2:
                                 "--out", str(out), teacher_run=teacher_run) == 0
             loss = json.loads((out / "config.json").read_text())["loss"]
             assert loss["bsr_variant"] == "l1lq" and loss["lambda_g"] == weight
+
+
+    def test_evaluate_batch_below_one(self, corpus, student_run, capsys):
+        for batch in ("0", "-5"):
+            assert main(["evaluate", "--student", student_run["student"], "--time",
+                         "--batch", batch, *data_flags(corpus, train=False)]) == 2
+            assert f"got {batch}" in capsys.readouterr().err
+
+    def test_evaluate_nan_tau(self, corpus, student_run, capsys):
+        assert main(["evaluate", "--student", student_run["student"], "--tau", "nan",
+                     *data_flags(corpus, train=False)]) == 2
+        assert "got nan" in capsys.readouterr().err
+
+    def test_lowdata_size_above_training_rows(self, corpus, teacher_run, tmp_path, capsys):
+        assert main(["lowdata", *data_flags(corpus), "--arch", "16-8-3", "--variant", "kd",
+                     "--sizes", "30,5000", "--seeds", "1", "--epochs", "1",
+                     "--teacher", teacher_run["teacher"], "--cache", teacher_run["cache"],
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "5000" in err and "120 rows" in err
+        assert not (tmp_path / "sweep.json").exists()
 
 
 class TestRuntimeExitCodes:
@@ -398,6 +428,55 @@ class TestStudentArtifacts:
         err = capsys.readouterr().err
         key, _, value = line.partition("=")
         assert str(cfg) in err and repr(key) in err and repr(value) in err
+
+
+class TestFlagTable:
+    """Every flag is declared once, in ``_FLAGS``; ``_COMMANDS`` gives its defaults."""
+
+    @staticmethod
+    def help_text(command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        return "".join(capsys.readouterr().out.split())  # argparse wraps lines and hyphens
+
+    def test_help_shows_every_default(self, capsys):
+        for command, (_, _, _, defaults) in _COMMANDS.items():
+            text = self.help_text(command, capsys)
+            for dest, default in defaults.items():
+                if default is not None:
+                    assert f"(default{default})" in text, (command, dest)
+        assert "trainingepochs(default30)" in self.help_text("lowdata", capsys)
+
+    def test_every_flag_is_offered(self, capsys):
+        offered = set()
+        for command in _COMMANDS:
+            offered |= set(re.findall(r"--([a-z-]+)", self.help_text(command, capsys)))
+        assert {dest.replace("_", "-") for dest in _FLAGS} <= offered
+
+    @pytest.mark.parametrize("command,flag,value", [("evaluate", "seed", "1"),
+                                                    ("lowdata", "seed", "1"),
+                                                    ("lowdata", "format", "csv")])
+    def test_removed_flags_exit_2(self, corpus, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main([command, *data_flags(corpus, train=command != "evaluate"),
+                  f"--{flag}", value])
+        assert err.value.code == 2
+        assert f"--{flag}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={value}\n")
+        assert main([command, *data_flags(corpus, train=command != "evaluate"),
+                     "--config", str(cfg)]) == 2
+        assert "not a flag of this command" in capsys.readouterr().err
+
+    def test_config_json_keys(self, teacher_run, student_run):
+        teacher = json.loads((teacher_run["out"] / "config.json").read_text())
+        assert set(teacher) == {"arch", "epochs", "batch", "lr", "seed", "activation", "out"}
+        student = json.loads((student_run["out"] / "config.json").read_text())
+        assert set(student) == {"arch", "variant", "kl", "bsr", "q", "temperature", "lambda_t",
+                                "lambda_v", "lambda_g", "warmup_epochs", "epochs", "batch",
+                                "lr", "tau", "seed", "activation", "hint_reverse", "clip",
+                                "out", "format", "loss"}
 
 
 class TestEvaluate:
