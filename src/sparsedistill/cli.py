@@ -366,6 +366,10 @@ def cmd_evaluate(v: Resolved) -> int:
     if v("teacher") is not None:
         teacher_net = load_checkpoint(_require_file(v("teacher"), "teacher checkpoint"))
     resolved = {"student": str(v("student")), "tau": v("tau"), "format": v("format")}
+    if v("time"):
+        if v("batch") > len(test_ds):
+            raise UsageError(f"batch size {v('batch')} is above the {len(test_ds)} rows of the test set")
+        resolved["batch"] = v("batch")
     report = _student_report(net, v("tau"), test_ds, teacher_net, resolved,
                              timed_batch=v("batch") if v("time") else None)
     doc = emit_report([report], v("format"))

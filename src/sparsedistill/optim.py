@@ -209,9 +209,8 @@ def _score(net: StudentNet, masks, ds: Dataset | None, tau: float) -> dict:
         "tau": float(tau),
     }
     if ds is not None:
-        logits = np.vstack([student_logits(net, ds.images[i:i + 4096], masks=masks)
-                            for i in range(0, len(ds), 4096)])
-        out["test_error_pct"] = 100.0 * top1_error(logits, ds.labels)
+        out["test_error_pct"] = 100.0 * top1_error(student_logits(net, ds.images, masks=masks),
+                                                   ds.labels)
     return out
 
 

@@ -7,8 +7,8 @@ values mean the multiplicative noise drowns the mean and the weight can
 be removed.  Two KL penalties over log-alpha are provided (the sparsifying
 form and the simpler log-uniform bound), plus pruning masks, forward
 passes for training (a graph of noisy layers, via the local
-reparameterisation trick) and evaluation (deterministic, masked), and
-checkpoint round-tripping.
+reparameterisation trick) and evaluation (deterministic, masked, with the
+weight rows the masks prune entirely skipped), and checkpoint round-tripping.
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ import numpy as np
 
 from . import checkpoint
 from .autograd import Tensor
-from .errors import ConsistencyError, ShapeError
-from .tensor import ACTIVATIONS, sigmoid
+from .errors import ConsistencyError
+from .tensor import dense_forward, sigmoid
 
 __all__ = [
     "K1", "K2", "K3", "LOG_ALPHA_CLAMP",
     "VariationalDenseLayer", "StudentNet",
     "init_student", "alpha_log", "prune_mask", "prune_masks",
     "kl_svd", "kl_vbd", "kl_svd_node", "kl_vbd_node",
-    "variational_forward", "student_logits",
+    "student_logits",
     "save_student", "load_student", "student_digest",
 ]
 
@@ -104,10 +104,10 @@ def alpha_log(theta: np.ndarray, log_sigma2: np.ndarray) -> np.ndarray:
 
 
 def prune_mask(layer: VariationalDenseLayer, tau: float) -> np.ndarray:
-    """1.0 where a weight survives (log alpha <= tau), else 0.0."""
+    """True where a weight survives (log alpha <= tau)."""
     if np.isposinf(tau):
-        return np.ones_like(layer.theta)
-    return (alpha_log(layer.theta, layer.log_sigma2) <= tau).astype(np.float64)
+        return np.ones(layer.theta.shape, dtype=bool)
+    return alpha_log(layer.theta, layer.log_sigma2) <= tau
 
 
 def prune_masks(net: StudentNet, tau: float) -> list[np.ndarray]:
@@ -197,27 +197,32 @@ def kl_vbd_node(theta_t: Tensor, log_sigma2_t: Tensor) -> Tensor:
 _VAR_FLOOR = 1e-18
 
 
-def variational_forward(layer: VariationalDenseLayer, x: np.ndarray, *,
-                        mask: np.ndarray | None = None) -> np.ndarray:
-    """One layer's deterministic pre-activation output on the means, with
-    pruned weights zeroed."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != layer.theta.shape[0]:
-        raise ShapeError(f"batch shape {x.shape} incompatible with layer input {layer.theta.shape[0]}")
-    w = layer.theta if mask is None else layer.theta * mask
-    return x @ w + layer.bias
+def _compact(net: StudentNet, masks):
+    """``(weights, biases, cols)``: the masked layers without the weight rows the masks prune
+    entirely, of input features (``cols`` keeps the rest, or is None) and of hidden units (their
+    columns leave the layer before).  Each dropped term is ``x * 0``.  A layer that loses
+    nothing is only multiplied by its mask, not indexed; without masks nothing is copied."""
+    thetas, biases = [l.theta for l in net.layers], [l.bias for l in net.layers]
+    if masks is None:
+        return thetas, biases, None
+    keep = [None if k.all() else k for k in (np.any(m, axis=1) for m in masks)] + [None]
+    weights = []
+    for i, (theta, mask) in enumerate(zip(thetas, masks)):
+        rows, cols = keep[i], keep[i + 1]
+        if rows is not None:  # rows first, so a sparse layer multiplies only what survives
+            theta, mask = theta[rows], mask[rows]
+        if cols is not None:
+            theta, mask, biases[i] = theta[:, cols], mask[:, cols], biases[i][cols]
+        weights.append(theta * mask)
+    return weights, biases, keep[0]
 
 
 def student_logits(net: StudentNet, x: np.ndarray, *,
                    masks: list[np.ndarray] | None = None) -> np.ndarray:
-    """Deterministic logits; hidden nonlinearity between layers, none after the last."""
-    act = ACTIVATIONS[net.activation]
-    out = np.asarray(x, dtype=np.float64)
-    for i, layer in enumerate(net.layers):
-        out = variational_forward(layer, out, mask=None if masks is None else masks[i])
-        if i < len(net.layers) - 1:
-            out = act(out)
-    return out
+    """Deterministic logits on the means, pruned weights zeroed; hidden nonlinearity
+    between layers, none after the last."""
+    weights, biases, cols = _compact(net, masks)
+    return dense_forward(x, weights, biases, net.activation, cols)
 
 
 def _noisy_layer_node(x, theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,

@@ -19,12 +19,12 @@ import numpy as np
 from . import checkpoint
 from .autograd import Tensor
 from .checkpoint import parse_arch
-from .errors import ConsistencyError, ShapeError, StalenessError, TrainingError
+from .errors import ConsistencyError, StalenessError, TrainingError
 from .data import Dataset, batch_iter
 from .losses import cross_entropy_node
 from .metrics import top1_error
 from .optim import Adam, check_schedule
-from .tensor import ACTIVATIONS, RngStream
+from .tensor import RngStream, dense_forward
 
 __all__ = [
     "DenseMLP",
@@ -41,8 +41,6 @@ __all__ = [
     "save_logit_cache",
     "load_logit_cache",
 ]
-
-_FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB
 
 
 @dataclass
@@ -107,25 +105,8 @@ def init_mlp(arch, seed: int, activation: str = "relu") -> DenseMLP:
 
 
 def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
-    """Pre-softmax outputs in row blocks of at most ``_FORWARD_ROWS`` rows, of equal size
-    within one row: BLAS would sum a short last block's few rows in another order."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.weights[0].shape[0]:
-        raise ShapeError(
-            f"batch shape {x.shape} incompatible with input width {net.weights[0].shape[0]}"
-        )
-    act = ACTIVATIONS[net.activation]
-    out = np.empty((len(x), net.weights[-1].shape[1]))
-    n_blocks = max(1, -(-len(x) // _FORWARD_ROWS))
-    for h, block in zip(np.array_split(x, n_blocks), np.array_split(out, n_blocks)):
-        for w, b in zip(net.weights[:-1], net.biases[:-1]):
-            # the bias is added in place so that one fewer block-by-width array is live
-            h = h @ w
-            h += b
-            h = act(h)
-        np.matmul(h, net.weights[-1], out=block)
-        block += net.biases[-1]
-    return out
+    """Pre-softmax outputs, in the row blocks of :func:`.tensor.dense_forward`."""
+    return dense_forward(batch, net.weights, net.biases, net.activation)
 
 
 def _forward_node(weight_ts, bias_ts, x: np.ndarray, activation: str) -> Tensor:

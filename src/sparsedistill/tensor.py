@@ -1,16 +1,20 @@
-"""Reproducible random streams and the hidden-layer nonlinearities.
+"""Reproducible random streams, the hidden-layer nonlinearities and the dense forward.
 
 All stochastic behaviour flows through :class:`RngStream`, a splittable
 counter-based generator, so results are reproducible bit-for-bit from a
-seed.  :data:`ACTIVATIONS` maps each hidden nonlinearity's name to its
-function, for the teacher and the student alike.
+seed.  :data:`ACTIVATIONS` names the hidden nonlinearities, and :func:`dense_forward`
+runs dense layers in row blocks, for the teacher and the student alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS"]
+from .errors import ShapeError
+
+__all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS", "dense_forward"]
+
+_FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB
 
 
 class RngStream:
@@ -69,3 +73,29 @@ def relu(x) -> np.ndarray:
 
 
 ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid}
+
+
+def dense_forward(x, weights, biases, activation: str, cols=None) -> np.ndarray:
+    """Last-layer pre-activations, in row blocks of at most ``_FORWARD_ROWS`` whose sizes differ
+    by at most one: BLAS would sum a short last block's few rows in another order.  ``cols``, a
+    boolean mask over the input's columns, picks those the first layer reads, block by block."""
+    x = np.asarray(x, dtype=np.float64)
+    width = weights[0].shape[0] if cols is None else len(cols)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeError(f"batch shape {x.shape} incompatible with input width {width}")
+    act = ACTIVATIONS[activation]
+    out = np.empty((len(x), weights[-1].shape[1]))
+    n_blocks = max(1, -(-len(x) // _FORWARD_ROWS))
+    edges = [len(x) * i // n_blocks for i in range(n_blocks + 1)]  # not np.array_split: ~40 us a call
+    for lo, hi in zip(edges, edges[1:]):
+        h, block = x[lo:hi], out[lo:hi]
+        if cols is not None:
+            h = h.compress(cols, axis=1)
+        for w, b in zip(weights[:-1], biases[:-1]):
+            # the bias is added in place so that one fewer block-by-width array is live
+            h = h @ w
+            h += b
+            h = act(h)
+        np.matmul(h, weights[-1], out=block)
+        block += biases[-1]
+    return out

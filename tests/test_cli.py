@@ -245,6 +245,12 @@ class TestBadValuesExit2:
                          "--batch", batch, *data_flags(corpus, train=False)]) == 2
             assert f"got {batch}" in capsys.readouterr().err
 
+    def test_evaluate_timed_batch_above_test_rows(self, corpus, student_run, capsys):
+        assert main(["evaluate", "--student", student_run["student"], "--time",
+                     "--batch", "1000", *data_flags(corpus, train=False)]) == 2
+        err = capsys.readouterr().err
+        assert "1000" in err and "48 rows" in err
+
     def test_evaluate_nan_tau(self, corpus, student_run, capsys):
         assert main(["evaluate", "--student", student_run["student"], "--tau", "nan",
                      *data_flags(corpus, train=False)]) == 2
@@ -512,6 +518,14 @@ class TestEvaluate:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["inference_ms"] is not None
         assert rows[0]["inference_ms"] > 0.0
+
+    def test_timed_batch_is_recorded_in_config(self, corpus, student_run, capsys):
+        flags = ["evaluate", "--student", student_run["student"], "--batch", "16",
+                 *data_flags(corpus, train=False)]
+        assert main([*flags, "--time"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["config"]["batch"] == 16
+        assert main(flags) == 0
+        assert "batch" not in json.loads(capsys.readouterr().out)[0]["config"]
 
     def test_markdown_format(self, corpus, student_run, capsys):
         rc = main(["evaluate", "--student", student_run["student"],

@@ -12,7 +12,8 @@ from sparsedistill.losses import LossConfig, resolve_variant
 from sparsedistill.optim import (_ADAM_BLOCK, Adam, StudentTrainConfig, _clip_global_norm,
                                  evaluate_student, lowdata_sweep, summarize_sweep,
                                  train_student)
-from sparsedistill.student import init_student, student_digest
+from sparsedistill.metrics import top1_error
+from sparsedistill.student import init_student, prune_masks, student_digest, student_logits
 
 from conftest import make_blobs
 
@@ -273,6 +274,13 @@ class TestEvaluateStudent:
         assert a == b
         assert set(a) == {"test_error_pct", "per_layer_sparsity", "r_s", "tau"}
         assert a["tau"] == 3.0
+
+    def test_error_is_that_of_one_direct_pass(self):
+        # 4097 rows span several forward blocks
+        ds = make_blobs(4097, 8, 3, seed=4)
+        net = init_student([8, 6, 3], seed=1)
+        want = top1_error(student_logits(net, ds.images, masks=prune_masks(net, 3.0)), ds.labels)
+        assert evaluate_student(net, ds, tau=3.0)["test_error_pct"] == 100.0 * want
 
     def test_fully_pruned_network_predicts_first_class(self):
         ds = make_blobs(100, 6, 10, seed=3)

@@ -7,14 +7,13 @@ import reference_autograd
 from sparsedistill.autograd import Tensor
 from sparsedistill.errors import ConsistencyError, FormatError, ShapeError
 from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
-                                   VariationalDenseLayer, _THETA_SQ_FLOOR,
+                                   VariationalDenseLayer, _THETA_SQ_FLOOR, _compact,
                                    alpha_log, init_student, kl_svd, kl_svd_node, kl_vbd,
                                    kl_vbd_node, load_student, prune_mask,
                                    prune_masks, save_student, student_digest,
-                                   student_logits, student_logits_node,
-                                   variational_forward)
+                                   student_logits, student_logits_node)
 from sparsedistill.teacher import save_checkpoint, init_mlp
-from sparsedistill.tensor import RngStream
+from sparsedistill.tensor import ACTIVATIONS, RngStream, relu
 
 from conftest import assert_matches_reference, finite_difference_check, net_param_tensors
 
@@ -148,6 +147,103 @@ class TestPruneMask:
         masks = prune_masks(net, 3.0)
         assert [m.shape for m in masks] == [(6, 4), (4, 2)]
 
+    def test_masks_are_boolean(self):
+        net = init_student([6, 4, 2], seed=0)
+        for tau in (3.0, -50.0, np.inf):
+            assert all(m.dtype == bool for m in prune_masks(net, tau))
+
+
+def masked_chain(net, x, masks):
+    """The masked dense forward: every layer ``x @ (theta * mask) + b``."""
+    act = ACTIVATIONS[net.activation]
+    for i, (layer, mask) in enumerate(zip(net.layers, masks)):
+        x = x @ (layer.theta * mask) + layer.bias
+        if i < len(net.layers) - 1:
+            x = act(x)
+    return x
+
+
+class TestCompactedForward:
+    """The masked forward skips fully pruned rows and still equals the masked dense product."""
+
+    def case(self, activation="relu"):
+        rng = np.random.default_rng(8)
+        net = init_student([12, 9, 7, 4], seed=4, activation=activation)
+        for layer in net.layers:
+            layer.bias = rng.normal(size=layer.bias.shape)
+        masks = [rng.random(l.shape) < 0.6 for l in net.layers]
+        return net, masks, rng.normal(size=(40, 12))
+
+    def check(self, net, masks, x):
+        want = masked_chain(net, x, masks)
+        got = student_logits(net, x, masks=masks)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+        return _compact(net, masks)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_pruned_input_rows_are_skipped(self, activation):
+        net, masks, x = self.case(activation)
+        masks[0][[0, 5, 11]] = False
+        weights, _, cols = self.check(net, masks, x)
+        assert weights[0].shape == (9, 9) and cols.sum() == 9
+        want = student_logits(net, x, masks=masks)
+        x[:, 5] = np.nan  # a pruned input column no longer reaches the logits
+        np.testing.assert_array_equal(student_logits(net, x, masks=masks), want)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_hidden_unit_without_outgoing_weights_is_dropped(self, activation):
+        net, masks, x = self.case(activation)
+        masks[1][[2, 6]] = False
+        masks[2][3] = False
+        weights, biases, cols = self.check(net, masks, x)
+        assert cols is None
+        assert [w.shape for w in weights] == [(12, 7), (7, 6), (6, 4)]
+        assert [len(b) for b in biases] == [7, 6, 4]
+
+    def test_fully_pruned_layer(self):
+        net, masks, x = self.case()
+        masks[1][:] = False
+        self.check(net, masks, x)
+        masks = prune_masks(net, -50.0)  # every weight of every layer
+        assert not any(m.any() for m in masks)
+        want = np.broadcast_to(net.layers[-1].bias, (len(x), 4))
+        np.testing.assert_array_equal(masked_chain(net, x, masks), want)
+        np.testing.assert_array_equal(student_logits(net, x, masks=masks), want)
+
+    def test_nothing_dropped_takes_no_copy(self):
+        net, _, x = self.case()
+        weights, biases, cols = _compact(net, None)
+        assert cols is None
+        assert all(w is l.theta and b is l.bias for w, b, l in zip(weights, biases, net.layers))
+        weights, biases, cols = _compact(net, prune_masks(net, np.inf))
+        assert cols is None
+        assert all(b is l.bias for b, l in zip(biases, net.layers))
+        for w, layer in zip(weights, net.layers):
+            np.testing.assert_array_equal(w, layer.theta)
+        np.testing.assert_array_equal(student_logits(net, x, masks=prune_masks(net, np.inf)),
+                                      student_logits(net, x))
+
+    def test_float_masks_from_callers(self):
+        net, masks, x = self.case()
+        masks[0][[1, 4]] = False
+        masks[1][0] = False
+        float_masks = [m.astype(np.float64) for m in masks]
+        self.check(net, float_masks, x)
+        np.testing.assert_array_equal(student_logits(net, x, masks=float_masks),
+                                      student_logits(net, x, masks=masks))
+
+    def test_net_and_inputs_are_unmodified(self):
+        net, masks, x = self.case()
+        masks[0][2] = False
+        masks[1][4] = False
+        before = [a.copy() for l in net.layers for a in (l.theta, l.log_sigma2, l.bias)]
+        masks_before, x_before = [m.copy() for m in masks], x.copy()
+        student_logits(net, x, masks=masks)
+        after = [a for l in net.layers for a in (l.theta, l.log_sigma2, l.bias)]
+        for a, b in zip(after + masks + [x], before + masks_before + [x_before]):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestKlPenalties:
     def test_svd_frozen_values(self):
@@ -276,14 +372,17 @@ class TestForward:
         layer = layer_fixture()
         x = np.random.default_rng(3).normal(size=(6, 3))
         mask = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        out = variational_forward(layer, x, mask=mask)
+        out = student_logits(StudentNet([layer]), x, masks=[mask])
         np.testing.assert_allclose(out, x @ (layer.theta * mask) + layer.bias, rtol=1e-12)
-        out_nomask = variational_forward(layer, x)
+        out_nomask = student_logits(StudentNet([layer]), x)
         np.testing.assert_allclose(out_nomask, x @ layer.theta + layer.bias, rtol=1e-12)
 
     def test_shape_validation(self):
+        net = StudentNet([layer_fixture()])
         with pytest.raises(ShapeError):
-            variational_forward(layer_fixture(), np.zeros((2, 5)))
+            student_logits(net, np.zeros((2, 5)))
+        with pytest.raises(ShapeError):
+            student_logits(net, np.zeros((2, 5)), masks=[np.array([[1, 0], [0, 0], [0, 1]])])
 
     def test_noise_statistics_match_moment_formulas(self):
         # one input row replicated many times: each output row is an
@@ -305,7 +404,7 @@ class TestForward:
         layer = VariationalDenseLayer(theta, np.full((2, 2), -60.0), np.array([0.1, -0.2]))
         x = np.random.default_rng(4).normal(size=(8, 2))
         noisy = noisy_layer(layer, x, RngStream(0))
-        exact = variational_forward(layer, x)
+        exact = student_logits(StudentNet([layer]), x)
         np.testing.assert_allclose(noisy, exact, atol=1e-8)
 
     def test_network_eval_matches_hand_chain(self):
@@ -315,6 +414,22 @@ class TestForward:
         h = np.maximum(x @ (net.layers[0].theta * masks[0]) + net.layers[0].bias, 0.0)
         expected = h @ (net.layers[1].theta * masks[1]) + net.layers[1].bias
         np.testing.assert_allclose(student_logits(net, x, masks=masks), expected, rtol=1e-12)
+
+    def test_row_blocks_equal_a_single_pass(self):
+        # the teacher test's 32-1200-10 shape, with pruned input rows: there BLAS
+        # rounds a row alike in any large block, so a short last block shows.
+        # A 500-wide layer is rounded by its position and the call's row count.
+        rng = np.random.default_rng(6)
+        net = init_student([32, 1200, 10], seed=2)
+        masks = [rng.random(l.shape) < 0.5 for l in net.layers]
+        masks[0][::3] = False
+        masks[1][:, 0] = True  # keeps the 1200 hidden units
+        weights, biases, cols = _compact(net, masks)
+        x = rng.random((4097, 32))
+        for n in (1023, 1024, 1025, 2049, 4097):
+            want = relu(x[:n].compress(cols, axis=1) @ weights[0] + biases[0])
+            want = want @ weights[1] + biases[1]
+            np.testing.assert_array_equal(student_logits(net, x[:n], masks=masks), want)
 
     def test_fused_layers_match_composed_graph(self):
         # 784-500-10 at batch 512; the second layer's input is a node that needs a gradient
