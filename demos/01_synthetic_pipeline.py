@@ -14,11 +14,9 @@ Run from the repository root:
 
 import numpy as np
 
-from sparsedistill import (Dataset, LossConfig, SparsityReport, StudentTrainConfig,
-                           TeacherConfig, compression_ratio, count_parameters,
-                           emit_report, evaluate_student, footprint, precompute_logits,
-                           prune_masks, remaining_parameters, resolve_variant,
-                           train_student, train_teacher)
+from sparsedistill import (Dataset, LossConfig, StudentTrainConfig, TeacherConfig,
+                           count_parameters, emit_report, precompute_logits, report_student,
+                           resolve_variant, train_student, train_teacher)
 
 # ---------------------------------------------------------------------------
 # 1. Synthetic data: four Gaussian clusters in 64 dimensions.
@@ -79,27 +77,13 @@ for r in records[::6] + [records[-1]]:
 # 5. Prune and report.  Weights whose log dropout ratio exceeds the
 #    threshold tau are removed; what survives is measured as sparsity
 #    (kept fraction of the student), compression (teacher params over
-#    surviving student params) and storage footprint, where each layer
-#    is stored dense or compressed-sparse-row, whichever is smaller.
+#    surviving student params) and storage footprint (the dense teacher's
+#    bytes over the student's), where each layer is stored dense or
+#    compressed-sparse-row, whichever is smaller.
 # ---------------------------------------------------------------------------
 
 tau = 3.0
-summary = evaluate_student(student, test_ds, tau)
-masks = prune_masks(student, tau)
-biases = [l.bias for l in student.layers]
-foot = footprint(masks, biases)
-
-row = SparsityReport(
-    network="-".join(map(str, student.arch)),
-    test_error_pct=summary["test_error_pct"],
-    per_layer_sparsity=summary["per_layer_sparsity"],
-    r_s=summary["r_s"],
-    r_c=compression_ratio(count_parameters(teacher),
-                          remaining_parameters(masks, biases)),
-    dense_bytes=foot["dense_bytes"],
-    csr_bytes=foot["stored_bytes"],
-    footprint_compression=foot["dense_bytes"] / foot["stored_bytes"],
-    config={"variant": "kd-svd", "tau": tau},
-)
+row = report_student(student, tau, test_ds, teacher=teacher,
+                     config={"variant": "kd-svd", "tau": tau})
 print()
 print(emit_report([row], fmt="markdown"))

@@ -16,11 +16,10 @@ from .errors import (ConsistencyError, DomainError, FormatError, LengthError,
                      ShapeError, StalenessError, TrainingError, UsageError)
 from .losses import (BsrContext, LossConfig, cross_entropy, hint_loss, make_bsr_context,
                      resolve_variant, total_loss, warmup_scale)
-from .metrics import (SparsityReport, compression_ratio, csr_bytes, dense_bytes,
-                      emit_report, footprint, inference_time, per_layer_sparsity_pct,
-                      remaining_parameters, sparsity_ratio, top1_error)
+from .metrics import (SparsityReport, csr_bytes, dense_bytes, emit_report, footprint,
+                      inference_time, per_layer_sparsity_pct, sparsity_ratio, top1_error)
 from .optim import (Adam, StudentTrainConfig, evaluate_student, lowdata_sweep,
-                    summarize_sweep, train_student)
+                    report_student, summarize_sweep, train_student)
 from .student import (StudentNet, VariationalDenseLayer, alpha_log, init_student,
                       kl_svd, kl_vbd, load_student, prune_mask, prune_masks,
                       save_student, student_logits)
@@ -47,8 +46,7 @@ __all__ = [
     "LossConfig", "resolve_variant", "warmup_scale", "cross_entropy", "hint_loss",
     "BsrContext", "make_bsr_context", "total_loss",
     "Adam", "StudentTrainConfig", "train_student", "evaluate_student",
-    "lowdata_sweep", "summarize_sweep",
+    "report_student", "lowdata_sweep", "summarize_sweep",
     "SparsityReport", "emit_report", "top1_error", "sparsity_ratio",
-    "per_layer_sparsity_pct", "compression_ratio", "csr_bytes",
-    "dense_bytes", "footprint", "remaining_parameters", "inference_time",
+    "per_layer_sparsity_pct", "csr_bytes", "dense_bytes", "footprint", "inference_time",
 ]

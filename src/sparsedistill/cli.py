@@ -10,7 +10,6 @@ resolved configuration.  Exit codes: 0 on success, 2 on usage problems,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -19,10 +18,10 @@ from .checkpoint import parse_arch, read_manifest
 from .data import load_idx
 from .errors import FormatError, UsageError
 from .losses import LossConfig, VARIANTS, resolve_variant
-from .metrics import (SparsityReport, REPORT_FORMATS, compression_ratio, emit_report,
-                      footprint, inference_time, json_line, remaining_parameters, to_json)
-from .optim import StudentTrainConfig, _score, lowdata_sweep, summarize_sweep, train_student
-from .student import load_student, prune_masks, save_student
+from .metrics import REPORT_FORMATS, emit_report, json_line, to_json
+from .optim import (StudentTrainConfig, lowdata_sweep, report_student, summarize_sweep,
+                    train_student)
+from .student import load_student, save_student
 from .teacher import (TeacherConfig, count_parameters, load_checkpoint, load_logit_cache,
                       payload_digest, precompute_logits, save_checkpoint,
                       save_logit_cache, train_teacher)
@@ -218,8 +217,10 @@ def _write_json(path: Path, obj):
 def build_loss_config(v) -> LossConfig:
     bsr_flag = v("bsr")
     kind = None if bsr_flag in (None, "none") else "l1linf" if bsr_flag == "l1linf" else "l1lq"
+    if bsr_flag == "l1l2" and v("q") != 2.0:
+        raise UsageError(f"--q {v('q')} would be ignored: --bsr l1l2 fixes q at 2.0")
     base = LossConfig(temperature=v("temperature"), lambda_t=v("lambda_t"),
-                      lambda_v_max=v("lambda_v"), q=2.0 if bsr_flag == "l1l2" else v("q"),
+                      lambda_v_max=v("lambda_v"), q=v("q"),
                       bsr_variant=kind, warmup_epochs=v("warmup_epochs"),
                       hint_reverse=v("hint_reverse"))
     cfg = resolve_variant(v("variant"), base, lambda_g=v("lambda_g"))
@@ -300,34 +301,6 @@ def _student_inputs(v, test_required: bool):
     return train_ds, test_ds, loss_cfg, cfg, teacher_net, logits
 
 
-def _student_report(net, tau, test_ds, teacher_net, config: dict,
-                    timed_batch: int | None = None) -> SparsityReport:
-    masks = prune_masks(net, tau)
-    scored = _score(net, masks, test_ds, tau)
-    biases = [l.bias for l in net.layers]
-    fp = footprint(masks, biases)
-    kept = remaining_parameters(masks, biases)
-    baseline = "self" if teacher_net is None else "teacher"
-    baseline_params = count_parameters(net.arch if teacher_net is None else teacher_net)
-    baseline_bytes = 4 * baseline_params
-    report = SparsityReport(
-        network="-".join(str(w) for w in net.arch),
-        test_error_pct=scored["test_error_pct"],
-        per_layer_sparsity=scored["per_layer_sparsity"],
-        r_s=scored["r_s"],
-        r_c=compression_ratio(baseline_params, kept),
-        dense_bytes=baseline_bytes,
-        csr_bytes=fp["stored_bytes"],
-        footprint_compression=baseline_bytes / fp["stored_bytes"],
-        inference_ms=None,
-        config=dict(config, compression_baseline=baseline),
-    )
-    if timed_batch:
-        x = test_ds.images[:timed_batch]
-        report.inference_ms = 1000.0 * inference_time(net, x, masks=masks)
-    return report
-
-
 def cmd_train_student(v: Resolved) -> int:
     train_ds, test_ds, loss_cfg, cfg, teacher_net, logits = _student_inputs(v, False)
     if v("variant") != "simple" and teacher_net is None:
@@ -347,7 +320,7 @@ def cmd_train_student(v: Resolved) -> int:
           f"R_s {last['r_s']:.2f} at tau {v('tau')}"
           + (f", test error {last['test_error_pct']:.2f}%" if "test_error_pct" in last else ""))
     if test_ds is not None:
-        report = _student_report(net, v("tau"), test_ds, teacher_net, resolved)
+        report = report_student(net, v("tau"), test_ds, teacher=teacher_net, config=resolved)
         ext = {"json": "json", "markdown": "md", "csv": "csv"}[v("format")]
         (out / f"report.{ext}").write_text(emit_report([report], v("format")) + "\n")
         print(f"wrote {out / f'report.{ext}'}")
@@ -356,8 +329,6 @@ def cmd_train_student(v: Resolved) -> int:
 
 
 def cmd_evaluate(v: Resolved) -> int:
-    if math.isnan(v("tau")):
-        raise UsageError(f"tau must be a number, got {v('tau')}")
     if v("batch") < 1:
         raise UsageError(f"batch size must be at least 1, got {v('batch')}")
     net, _ = load_student(_require_file(v("student"), "student checkpoint"))
@@ -366,12 +337,8 @@ def cmd_evaluate(v: Resolved) -> int:
     if v("teacher") is not None:
         teacher_net = load_checkpoint(_require_file(v("teacher"), "teacher checkpoint"))
     resolved = {"student": str(v("student")), "tau": v("tau"), "format": v("format")}
-    if v("time"):
-        if v("batch") > len(test_ds):
-            raise UsageError(f"batch size {v('batch')} is above the {len(test_ds)} rows of the test set")
-        resolved["batch"] = v("batch")
-    report = _student_report(net, v("tau"), test_ds, teacher_net, resolved,
-                             timed_batch=v("batch") if v("time") else None)
+    report = report_student(net, v("tau"), test_ds, teacher=teacher_net, config=resolved,
+                            timed_batch=v("batch") if v("time") else None)
     doc = emit_report([report], v("format"))
     if v("out"):
         out = Path(v("out"))

@@ -54,8 +54,11 @@ class LossConfig:
     hint_reverse: bool = False
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise UsageError(f"temperature must be positive, got {self.temperature}")
+        if not (self.temperature > 0 and np.isfinite(self.temperature)):
+            rule = "finite" if self.temperature > 0 else "positive"
+            raise UsageError(f"temperature must be {rule}, got {self.temperature}")
+        if self.warmup_epochs < 0:
+            raise UsageError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         for name in ("lambda_t", "lambda_g", "lambda_v_max"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value >= 0):

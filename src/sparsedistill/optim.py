@@ -18,12 +18,13 @@ from .autograd import Tensor
 from .data import Dataset, batch_iter, subset_indices
 from .errors import ConsistencyError, TrainingError, UsageError
 from .losses import BsrContext, LossConfig, make_bsr_context, total_loss
-from .metrics import json_line, per_layer_sparsity_pct, sparsity_ratio, top1_error
-from .student import StudentNet, init_student, prune_masks, student_logits
-from .tensor import RngStream
+from .metrics import (SparsityReport, compression_ratio, footprint, inference_time, json_line,
+                      per_layer_sparsity_pct, remaining_parameters, sparsity_ratio, top1_error)
+from .student import StudentNet, compact, init_student, prune_masks
+from .tensor import RngStream, dense_forward
 
 __all__ = ["Adam", "StudentTrainConfig", "train_student", "evaluate_student",
-           "lowdata_sweep", "summarize_sweep"]
+           "report_student", "lowdata_sweep", "summarize_sweep"]
 
 _ADAM_BLOCK = 16384  # elements: a block's g, m, v, p and scratch (768 KiB) stay in L2
 
@@ -199,19 +200,55 @@ def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
 
 def evaluate_student(net: StudentNet, ds: Dataset | None, tau: float) -> dict:
     """Deterministic pruned-network metrics; the error needs a dataset ``ds``."""
-    return _score(net, prune_masks(net, tau), ds, tau)
+    return _score(net, ds, tau)[0]
 
 
-def _score(net: StudentNet, masks, ds: Dataset | None, tau: float) -> dict:
-    out = {
-        "per_layer_sparsity": per_layer_sparsity_pct(masks),
-        "r_s": sparsity_ratio(masks),
-        "tau": float(tau),
-    }
-    if ds is not None:
-        out["test_error_pct"] = 100.0 * top1_error(student_logits(net, ds.images, masks=masks),
-                                                   ds.labels)
-    return out
+def _score(net: StudentNet, ds: Dataset | None, tau: float):
+    """``(metrics, masks, forward)``: ``forward(x)`` runs the compacted layers; None without ``ds``."""
+    if np.isnan(tau):
+        raise UsageError(f"tau must be a number, got {tau}")
+    masks = prune_masks(net, tau)
+    out = {"per_layer_sparsity": per_layer_sparsity_pct(masks), "r_s": sparsity_ratio(masks),
+           "tau": float(tau)}
+    if ds is None:
+        return out, masks, None
+    weights, biases, cols = compact(net, masks)
+
+    def forward(x):
+        return dense_forward(x, weights, biases, net.activation, cols)
+
+    out["test_error_pct"] = 100.0 * top1_error(forward(ds.images), ds.labels)
+    return out, masks, forward
+
+
+def report_student(net: StudentNet, tau: float, test_ds: Dataset, *, teacher=None,
+                   config: dict | None = None, timed_batch: int | None = None) -> SparsityReport:
+    """The student's report row at ``tau``, pruned and compacted once.  Its baseline is the
+    dense ``teacher`` (a :class:`.teacher.DenseMLP`), else the unpruned student;
+    ``timed_batch`` times the forward pass over that many test rows into ``inference_ms``."""
+    if timed_batch is not None and not 1 <= timed_batch <= len(test_ds):
+        raise UsageError(f"batch size {timed_batch} is outside the {len(test_ds)} rows of the test set")
+    scored, masks, forward = _score(net, test_ds, tau)
+    biases = [l.bias for l in net.layers]
+    stored = footprint(masks, biases)["stored_bytes"]
+    pairs = ([(l.theta, l.bias) for l in net.layers] if teacher is None
+             else zip(teacher.weights, teacher.biases))
+    baseline_params = sum(w.size + b.size for w, b in pairs)
+    report = SparsityReport(
+        network="-".join(str(w) for w in net.arch),
+        test_error_pct=scored["test_error_pct"],
+        per_layer_sparsity=scored["per_layer_sparsity"],
+        r_s=scored["r_s"],
+        r_c=compression_ratio(baseline_params, remaining_parameters(masks, biases)),
+        dense_bytes=4 * baseline_params,
+        csr_bytes=stored,
+        footprint_compression=4 * baseline_params / stored,
+        config={**(config or {}), **({} if timed_batch is None else {"batch": timed_batch}),
+                "compression_baseline": "self" if teacher is None else "teacher"},
+    )
+    if timed_batch is not None:
+        report.inference_ms = 1000.0 * inference_time(forward, test_ds.images[:timed_batch])
+    return report
 
 
 def lowdata_sweep(train_ds: Dataset, test_ds: Dataset, teacher_logits: np.ndarray,

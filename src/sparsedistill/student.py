@@ -27,7 +27,7 @@ __all__ = [
     "VariationalDenseLayer", "StudentNet",
     "init_student", "alpha_log", "prune_mask", "prune_masks",
     "kl_svd", "kl_vbd", "kl_svd_node", "kl_vbd_node",
-    "student_logits",
+    "compact", "student_logits",
     "save_student", "load_student", "student_digest",
 ]
 
@@ -197,7 +197,7 @@ def kl_vbd_node(theta_t: Tensor, log_sigma2_t: Tensor) -> Tensor:
 _VAR_FLOOR = 1e-18
 
 
-def _compact(net: StudentNet, masks):
+def compact(net: StudentNet, masks):
     """``(weights, biases, cols)``: the masked layers without the weight rows the masks prune
     entirely, of input features (``cols`` keeps the rest, or is None) and of hidden units (their
     columns leave the layer before).  Each dropped term is ``x * 0``.  A layer that loses
@@ -221,7 +221,7 @@ def student_logits(net: StudentNet, x: np.ndarray, *,
                    masks: list[np.ndarray] | None = None) -> np.ndarray:
     """Deterministic logits on the means, pruned weights zeroed; hidden nonlinearity
     between layers, none after the last."""
-    weights, biases, cols = _compact(net, masks)
+    weights, biases, cols = compact(net, masks)
     return dense_forward(x, weights, biases, net.activation, cols)
 
 

@@ -223,6 +223,26 @@ class TestBadValuesExit2:
                                 teacher_run=teacher_run) == 2
             assert named in capsys.readouterr().err
 
+    def test_infinite_temperature_and_negative_warmup(self, corpus, teacher_run, tmp_path, capsys):
+        for flags, named in ((("--temperature", "inf"), "temperature must be finite, got inf"),
+                             (("--warmup-epochs", "-4"), "warmup_epochs must be >= 0, got -4")):
+            assert self.student(corpus, "--variant", "kd-svd", *flags, "--out", str(tmp_path),
+                                teacher_run=teacher_run) == 2
+            assert named in capsys.readouterr().err
+
+    def test_q_the_l1l2_norm_would_ignore(self, corpus, teacher_run, tmp_path, capsys):
+        assert self.student(corpus, "--variant", "kd", "--bsr", "l1l2", "--q", "3",
+                            "--out", str(tmp_path / "q3"), teacher_run=teacher_run) == 2
+        err = capsys.readouterr().err
+        assert "--q 3.0" in err and "l1l2" in err and "2.0" in err
+        assert not (tmp_path / "q3").exists()
+        for q in ((), ("--q", "2")):
+            out = tmp_path / f"q{len(q)}"
+            assert self.student(corpus, "--variant", "kd", "--bsr", "l1l2", *q,
+                                "--out", str(out), teacher_run=teacher_run) == 0
+            loss = json.loads((out / "config.json").read_text())["loss"]
+            assert loss["bsr_variant"] == "l1lq" and loss["q"] == 2.0
+
     def test_group_weight_the_run_would_ignore(self, corpus, teacher_run, tmp_path, capsys):
         for variant, flags in (("simple", ()), ("kd", ()), ("kd-vbd", ()),
                                ("st-svd", ("--bsr", "none"))):

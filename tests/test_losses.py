@@ -71,6 +71,16 @@ class TestLossConfig:
         with pytest.raises(UsageError):
             LossConfig(temperature=float("nan"))
 
+    def test_temperature_must_be_finite(self):
+        for bad in (float("inf"), float("-inf")):
+            with pytest.raises(UsageError, match=f"temperature must be .*, got {bad}"):
+                LossConfig(temperature=bad)
+
+    def test_warmup_epochs_must_not_be_negative(self):
+        with pytest.raises(UsageError, match="warmup_epochs must be >= 0, got -4"):
+            LossConfig(warmup_epochs=-4)
+        assert LossConfig(warmup_epochs=0).warmup_epochs == 0
+
     def test_variant_name_validation(self):
         with pytest.raises(UsageError):
             LossConfig(kl_variant="gauss")

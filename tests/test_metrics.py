@@ -14,7 +14,7 @@ from sparsedistill.metrics import (SparsityReport, compression_ratio, csr_bytes,
                                    inference_time, per_layer_sparsity_pct,
                                    remaining_parameters, sparsity_ratio, to_json,
                                    top1_error)
-from sparsedistill.student import init_student
+from sparsedistill.student import init_student, student_logits
 
 
 class TestTop1Error:
@@ -155,15 +155,22 @@ class TestInferenceTime:
     def test_positive_median_seconds(self):
         net = init_student([6, 4, 3], seed=0)
         x = np.random.default_rng(0).random((32, 6))
-        t = inference_time(net, x)
+        calls = []
+
+        def forward(batch):
+            calls.append(batch)
+            return student_logits(net, batch)
+
+        t = inference_time(forward, x)
         assert t > 0.0
         assert t < 1.0
+        assert len(calls) == 8 and all(c is x for c in calls)  # 3 warm-up calls, 5 timed
 
     def test_masks_are_accepted(self):
         net = init_student([6, 4, 3], seed=0)
         x = np.random.default_rng(0).random((8, 6))
         masks = [np.ones_like(l.theta) for l in net.layers]
-        assert inference_time(net, x, masks=masks) > 0.0
+        assert inference_time(lambda batch: student_logits(net, batch, masks=masks), x) > 0.0
 
 
 def make_report(name="s1", err=1.89, inference_ms=None):

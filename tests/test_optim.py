@@ -5,15 +5,19 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from sparsedistill import optim
 from sparsedistill.autograd import Tensor
 from sparsedistill.data import subset_indices
 from sparsedistill.errors import ConsistencyError, TrainingError, UsageError
 from sparsedistill.losses import LossConfig, resolve_variant
 from sparsedistill.optim import (_ADAM_BLOCK, Adam, StudentTrainConfig, _clip_global_norm,
-                                 evaluate_student, lowdata_sweep, summarize_sweep,
-                                 train_student)
-from sparsedistill.metrics import top1_error
-from sparsedistill.student import init_student, prune_masks, student_digest, student_logits
+                                 evaluate_student, lowdata_sweep, report_student,
+                                 summarize_sweep, train_student)
+from sparsedistill.metrics import (compression_ratio, footprint, remaining_parameters,
+                                   top1_error)
+from sparsedistill.student import (compact, init_student, prune_masks, student_digest,
+                                   student_logits)
+from sparsedistill.teacher import count_parameters, init_mlp
 
 from conftest import make_blobs
 
@@ -294,6 +298,91 @@ class TestEvaluateStudent:
         assert scored["test_error_pct"] == pytest.approx(90.0)
         assert np.isinf(scored["r_s"])
         assert scored["per_layer_sparsity"] == [100.0, 100.0]
+
+    def test_nan_tau_is_refused(self):
+        net = init_student([8, 6, 3], seed=0)
+        for ds in (blob_dataset(), None):
+            with pytest.raises(UsageError, match="got nan"):
+                evaluate_student(net, ds, tau=float("nan"))
+
+    def test_no_dataset_compacts_nothing(self, monkeypatch):
+        def refuse(net, masks):
+            raise AssertionError("compacted without rows to score")
+
+        monkeypatch.setattr(optim, "compact", refuse)
+        scored = evaluate_student(init_student([8, 6, 3], seed=0), None, tau=3.0)
+        assert "test_error_pct" not in scored
+
+
+class TestReportStudent:
+    TAU = 0.0
+
+    @staticmethod
+    def case():
+        # log-variances spread around log theta^2, so tau 0 prunes a share of the weights
+        net = init_student([8, 6, 3], seed=1)
+        rng = np.random.default_rng(3)
+        for layer in net.layers:
+            layer.log_sigma2 = np.log(np.square(layer.theta)) + rng.normal(0.0, 2.0, layer.shape)
+        return net, make_blobs(200, 8, 3, seed=5)
+
+    def test_teacher_is_the_byte_and_parameter_baseline(self):
+        net, ds = self.case()
+        teacher = init_mlp([8, 20, 3], seed=0)
+        report = report_student(net, self.TAU, ds, teacher=teacher)
+        masks = prune_masks(net, self.TAU)
+        biases = [l.bias for l in net.layers]
+        stored = footprint(masks, biases)["stored_bytes"]
+        assert 0 < sum(m.sum() for m in masks) < sum(m.size for m in masks)
+        assert report.dense_bytes == 4 * count_parameters(teacher)
+        assert report.csr_bytes == stored
+        assert report.footprint_compression == report.dense_bytes / stored
+        assert report.r_c == compression_ratio(count_parameters(teacher),
+                                               remaining_parameters(masks, biases))
+        assert report.config == {"compression_baseline": "teacher"}
+
+    def test_without_teacher_the_unpruned_student_is_the_baseline(self):
+        net, ds = self.case()
+        report = report_student(net, self.TAU, ds)
+        assert report.dense_bytes == 4 * count_parameters(net.arch)
+        assert report.config == {"compression_baseline": "self"}
+        assert report.network == "8-6-3" and report.inference_ms is None
+
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, 3.0, 1e9])
+    def test_scores_equal_evaluate_student(self, tau):
+        net, ds = self.case()
+        report = report_student(net, tau, ds)
+        scored = evaluate_student(net, ds, tau)
+        assert report.test_error_pct == scored["test_error_pct"]
+        assert report.r_s == scored["r_s"]
+        assert report.per_layer_sparsity == scored["per_layer_sparsity"]
+
+    def test_timed_batch_is_recorded_in_config(self):
+        net, ds = self.case()
+        given = {"tau": self.TAU}
+        report = report_student(net, self.TAU, ds, config=given, timed_batch=16)
+        assert list(report.config.items()) == [("tau", self.TAU), ("batch", 16),
+                                               ("compression_baseline", "self")]
+        assert given == {"tau": self.TAU}
+        assert report.inference_ms > 0.0
+
+    def test_timed_batch_outside_the_test_rows(self):
+        net, ds = self.case()
+        for batch in (0, 201):
+            with pytest.raises(UsageError, match=f"batch size {batch} .* 200 rows"):
+                report_student(net, self.TAU, ds, timed_batch=batch)
+
+    def test_error_and_timing_share_one_compaction(self, monkeypatch):
+        net, ds = self.case()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return compact(*args)
+
+        monkeypatch.setattr(optim, "compact", counted)
+        report_student(net, self.TAU, ds, timed_batch=16)
+        assert len(calls) == 1
 
 
 class TestLowdataSweep:

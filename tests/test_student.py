@@ -7,7 +7,7 @@ import reference_autograd
 from sparsedistill.autograd import Tensor
 from sparsedistill.errors import ConsistencyError, FormatError, ShapeError
 from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
-                                   VariationalDenseLayer, _THETA_SQ_FLOOR, _compact,
+                                   VariationalDenseLayer, _THETA_SQ_FLOOR, compact,
                                    alpha_log, init_student, kl_svd, kl_svd_node, kl_vbd,
                                    kl_vbd_node, load_student, prune_mask,
                                    prune_masks, save_student, student_digest,
@@ -179,7 +179,7 @@ class TestCompactedForward:
         got = student_logits(net, x, masks=masks)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
-        return _compact(net, masks)
+        return compact(net, masks)
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_pruned_input_rows_are_skipped(self, activation):
@@ -213,10 +213,10 @@ class TestCompactedForward:
 
     def test_nothing_dropped_takes_no_copy(self):
         net, _, x = self.case()
-        weights, biases, cols = _compact(net, None)
+        weights, biases, cols = compact(net, None)
         assert cols is None
         assert all(w is l.theta and b is l.bias for w, b, l in zip(weights, biases, net.layers))
-        weights, biases, cols = _compact(net, prune_masks(net, np.inf))
+        weights, biases, cols = compact(net, prune_masks(net, np.inf))
         assert cols is None
         assert all(b is l.bias for b, l in zip(biases, net.layers))
         for w, layer in zip(weights, net.layers):
@@ -424,7 +424,7 @@ class TestForward:
         masks = [rng.random(l.shape) < 0.5 for l in net.layers]
         masks[0][::3] = False
         masks[1][:, 0] = True  # keeps the 1200 hidden units
-        weights, biases, cols = _compact(net, masks)
+        weights, biases, cols = compact(net, masks)
         x = rng.random((4097, 32))
         for n in (1023, 1024, 1025, 2049, 4097):
             want = relu(x[:n].compress(cols, axis=1) @ weights[0] + biases[0])
