@@ -57,6 +57,15 @@ class Tensor:
         else:  # a copy: ``+`` hands one ``g`` to both operands, and clipping scales in place
             self.grad = np.array(g, dtype=np.float64)
 
+    def _grad_buffer(self) -> np.ndarray:
+        """The gradient as a flat view of an owned, contiguous array, zeros if none has
+        arrived yet, for a node whose backward adds into it block by block."""
+        if self.grad is None:
+            self.grad = np.zeros(self.data.shape)
+        else:
+            self.grad = np.ascontiguousarray(self.grad)
+        return self.grad.reshape(-1)
+
     def backward(self):
         """Backpropagate from this scalar node to all grad-requiring leaves."""
         if self.data.size != 1:

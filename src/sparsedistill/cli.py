@@ -228,10 +228,13 @@ def build_loss_config(v) -> LossConfig:
         cfg = replace(cfg, bsr_variant=None, lambda_g=0.0)
     if v("kl") is not None:
         cfg = replace(cfg, kl_variant=v("kl"))
+    run = f"variant {v('variant')!r}" + ("" if bsr_flag is None else f" with --bsr {bsr_flag}")
     if v("lambda_g") is not None and cfg.lambda_g != v("lambda_g"):
-        without = " with --bsr none" if bsr_flag == "none" else ""
-        raise UsageError(f"--lambda-g {v('lambda_g')} would be ignored: "
-                         f"variant {v('variant')!r}{without} has no group term")
+        raise UsageError(f"--lambda-g {v('lambda_g')} would be ignored: {run} has no group term")
+    if v("q") != 2.0 and not (cfg.bsr_variant == "l1lq" and cfg.lambda_g != 0.0):
+        why = (f"--lambda-g {cfg.lambda_g} turns the l1lq group term off"
+               if cfg.bsr_variant == "l1lq" else f"{run} has no l1lq group term")
+        raise UsageError(f"--q {v('q')} would be ignored: {why}")
     return cfg
 
 

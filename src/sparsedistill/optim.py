@@ -21,12 +21,10 @@ from .losses import BsrContext, LossConfig, make_bsr_context, total_loss
 from .metrics import (SparsityReport, compression_ratio, footprint, inference_time, json_line,
                       per_layer_sparsity_pct, remaining_parameters, sparsity_ratio, top1_error)
 from .student import StudentNet, compact, init_student, prune_masks
-from .tensor import RngStream, dense_forward
+from .tensor import ELEMENT_BLOCK, RngStream, dense_forward
 
 __all__ = ["Adam", "StudentTrainConfig", "train_student", "evaluate_student",
            "report_student", "lowdata_sweep", "summarize_sweep"]
-
-_ADAM_BLOCK = 16384  # elements: a block's g, m, v, p and scratch (768 KiB) stay in L2
 
 
 class Adam(object):
@@ -40,14 +38,14 @@ class Adam(object):
         self.t = 0
         self._m = [np.zeros(p.data.size) for p in self.params]  # flat, row-major
         self._v = [np.zeros(p.data.size) for p in self.params]
-        self._scratch = np.empty((2, _ADAM_BLOCK))
+        self._scratch = np.empty((2, ELEMENT_BLOCK))
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
-        """Update in blocks of ``_ADAM_BLOCK`` elements: the unblocked ufuncs, order and bits."""
+        """Update in blocks of ``ELEMENT_BLOCK`` elements: the unblocked ufuncs, order and bits."""
         self.t += 1
         c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
         for i, p in enumerate(self.params):
@@ -56,8 +54,8 @@ class Adam(object):
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingError(f"non-finite gradient in parameter {i}", param=i)
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)
-            for lo in range(0, data.size, _ADAM_BLOCK):
-                g, m, v, x = (y[lo:lo + _ADAM_BLOCK] for y in (grad, self._m[i], self._v[i], data))
+            for lo in range(0, data.size, ELEMENT_BLOCK):
+                g, m, v, x = (y[lo:lo + ELEMENT_BLOCK] for y in (grad, self._m[i], self._v[i], data))
                 a, b = self._scratch[:, :len(g)]
                 m *= self.beta1
                 m += np.multiply(g, 1.0 - self.beta1, out=a)

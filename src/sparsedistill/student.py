@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint
 from .autograd import Tensor
 from .errors import ConsistencyError
-from .tensor import dense_forward, sigmoid
+from .tensor import ELEMENT_BLOCK, dense_forward
 
 __all__ = [
     "K1", "K2", "K3", "LOG_ALPHA_CLAMP",
@@ -41,6 +41,7 @@ K3 = 1.48695
 LOG_ALPHA_CLAMP = 40.0
 
 _THETA_SQ_FLOOR = 1e-300  # keeps log(theta^2) finite on the graph path
+_EXP_NEG_K2 = float(np.exp(-K2))
 
 
 @dataclass
@@ -117,31 +118,44 @@ def prune_masks(net: StudentNet, tau: float) -> list[np.ndarray]:
 # -- KL penalties over log-alpha ----------------------------------------------
 
 
-def _kl_per_weight(la: np.ndarray, variant: str) -> np.ndarray:
-    """Per-weight penalty over an already clamped log-alpha.
+def _kl_block(neg_la: np.ndarray, variant: str, e: np.ndarray, s: np.ndarray) -> float:
+    """The penalty summed over one block of clamped ``-log alpha``: the one per-weight formula.
 
-    ``svd`` folds the constant-offset pair into one complementary sigmoid,
-    K1 - K1*sigmoid(x) = K1*sigmoid(-x), which keeps the tiny tail from
-    being absorbed into the constant and then cancelled away.
+    Leaves ``e = exp(-la)`` in ``e`` and, for ``svd``, ``s = 1/(1 + exp(K2 + K3*la))`` in ``s``
+    (scratch for ``vbd``), for the gradient to reuse.  ``svd`` folds the constant-offset pair
+    into one complementary sigmoid, K1 - K1*sigmoid(x) = K1*sigmoid(-x), which keeps the tiny
+    tail from being absorbed into the constant and then cancelled away.
     """
-    half = 0.5 * np.log1p(np.exp(-la))
-    if variant == "vbd":
-        return half
-    sig_neg = 1.0 / (1.0 + np.exp(K2 + K3 * la))
-    return K1 * sig_neg + half
+    np.exp(neg_la, out=e)
+    value = 0.5 * float(np.log1p(e, out=s).sum())
+    if variant == "svd":  # s = c/(c + exp(K3*la)) with c = exp(-K2)
+        np.exp(np.multiply(neg_la, -K3, out=s), out=s)
+        s += _EXP_NEG_K2
+        value += K1 * float(np.divide(_EXP_NEG_K2, s, out=s).sum())
+    return value
+
+
+def _kl_sum(log_alpha: np.ndarray, variant: str) -> float:
+    """The penalty over every weight, in the node's blocks and order, hence its bits."""
+    neg_la = -np.clip(np.asarray(log_alpha, dtype=np.float64).reshape(-1),
+                      -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+    e, s = np.empty((2, min(neg_la.size, ELEMENT_BLOCK)))
+    value = 0.0
+    for lo in range(0, neg_la.size, ELEMENT_BLOCK):
+        b = neg_la[lo:lo + ELEMENT_BLOCK]
+        value += _kl_block(b, variant, e[:len(b)], s[:len(b)])
+    return value
 
 
 def kl_svd(log_alpha: np.ndarray) -> float:
     """Sparsifying penalty, summed.  Non-negative, and vanishes as alpha
     grows, so minimising it pushes weights toward removal."""
-    la = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
-    return float(np.sum(_kl_per_weight(la, "svd")))
+    return _kl_sum(log_alpha, "svd")
 
 
 def kl_vbd(log_alpha: np.ndarray) -> float:
     """Log-uniform bound penalty, summed: 0.5 * log(1 + 1/alpha)."""
-    la = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
-    return float(np.sum(_kl_per_weight(la, "vbd")))
+    return _kl_sum(log_alpha, "vbd")
 
 
 def _kl_node(theta_t: Tensor, log_sigma2_t: Tensor, variant: str) -> Tensor:
@@ -149,35 +163,56 @@ def _kl_node(theta_t: Tensor, log_sigma2_t: Tensor, variant: str) -> Tensor:
 
     log alpha = log sigma^2 - log max(theta^2, floor), clamped.  No gradient
     flows where the raw log alpha lies outside the closed clamp interval, nor
-    to theta where theta^2 < floor.  ``back`` rounds in the order of the same
-    penalty composed from single graph operations, so its gradients equal
-    that graph's bit for bit and training reproduces it.
+    to theta where theta^2 < floor.  Both passes run in flat blocks of
+    ``ELEMENT_BLOCK`` weights, the blocks :func:`kl_svd` sums in, so the value
+    equals ``kl_svd(alpha_log(theta, log_sigma2))`` when each theta^2 is at
+    least the floor or its log alpha saturates.  The forward keeps ``exp(-la)``
+    and the sigmoid, set to 0 past the clamp; ``back`` builds the derivative
+    from them, 0 there, with no transcendental of its own, so a node whose
+    backward never runs pays for the value only.  Value and gradients agree
+    with the penalty composed from single graph operations to rtol 1e-12, not
+    bit for bit.
     """
-    theta = theta_t.data
-    theta_sq = theta * theta
-    square = np.maximum(theta_sq, _THETA_SQ_FLOOR)
-    la = log_sigma2_t.data - np.log(square)
-    inside = (la >= -LOG_ALPHA_CLAMP) & (la <= LOG_ALPHA_CLAMP)
-    np.clip(la, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP, out=la)
-    req = theta_t.requires_grad or log_sigma2_t.requires_grad
+    theta, log_sigma2 = theta_t.data.reshape(-1), log_sigma2_t.data.reshape(-1)
+    n, svd = theta.size, variant == "svd"
+    e, s = np.empty(n), (np.empty(n) if svd else None)
+    scratch = np.empty((2, min(n, ELEMENT_BLOCK)))
+    value = 0.0
+    for lo in range(0, n, ELEMENT_BLOCK):
+        blk = slice(lo, lo + ELEMENT_BLOCK)
+        w, b = scratch[:, :len(theta[blk])]
+        np.maximum(np.multiply(theta[blk], theta[blk], out=w), _THETA_SQ_FLOOR, out=w)
+        np.subtract(np.log(w, out=w), log_sigma2[blk], out=w)
+        cut = np.abs(w, out=b) > LOG_ALPHA_CLAMP
+        np.clip(w, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP, out=w)
+        value += _kl_block(w, variant, e[blk], s[blk] if svd else b)
+        e[blk][cut] = 0.0  # past the clamp: e = s = 0 makes the derivative 0
+        if svd:
+            s[blk][cut] = 0.0
 
     def back(g):
-        # dKL/dla = -K1*K3*s*(1-s) - 0.5*sigmoid(-la), s = sigmoid(-(K2 + K3*la))
-        e = np.exp(-la)
-        dla = -(g * 0.5 / (e + 1.0) * e)
-        if variant == "svd":
-            s = sigmoid(la * -K3 - K2)
-            dla += g * K1 * s * (1.0 - s) * -K3
-        dla *= inside
-        if log_sigma2_t.requires_grad:
-            log_sigma2_t._accumulate(dla)
-        if theta_t.requires_grad:
-            half_dtheta = -dla / square * (theta_sq >= _THETA_SQ_FLOOR) * theta
-            # theta*theta reaches theta through both factors: one addition each
-            theta_t._accumulate(half_dtheta)
-            theta_t._accumulate(half_dtheta)
+        g = float(g)
+        outs = [p._grad_buffer() if p.requires_grad else None for p in (theta_t, log_sigma2_t)]
+        scratch = np.empty((2, min(n, ELEMENT_BLOCK)))
+        for lo in range(0, n, ELEMENT_BLOCK):
+            blk = slice(lo, lo + ELEMENT_BLOCK)
+            d, t = scratch[:, :len(e[blk])]
+            # d = g * (e/(1 + e) + 2*K1*K3*s*(1 - s)) = -2g * dKL/dla
+            np.divide(e[blk], np.add(e[blk], 1.0, out=d), out=d)
+            if svd:
+                np.multiply(np.subtract(1.0, s[blk], out=t), s[blk], out=t)
+                t *= 2.0 * K1 * K3
+                d += t
+            d *= g
+            if outs[1] is not None:
+                outs[1][blk] -= np.multiply(d, 0.5, out=t)
+            if outs[0] is not None:  # dla/dtheta = -2/theta, and 0 where theta^2 < floor
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    np.divide(d, theta[blk], out=d)  # inf or nan only below the floor
+                d[np.multiply(theta[blk], theta[blk], out=t) < _THETA_SQ_FLOOR] = 0.0
+                outs[0][blk] += d
 
-    value = np.sum(_kl_per_weight(la, variant))
+    req = theta_t.requires_grad or log_sigma2_t.requires_grad
     return Tensor(value, req, (theta_t, log_sigma2_t), back if req else None)
 
 

@@ -15,6 +15,9 @@ from .errors import ShapeError
 __all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS", "dense_forward"]
 
 _FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB
+# elements per block of the flat elementwise loops (Adam's update, the KL penalty): a block's
+# handful of float64 arrays (under 1 MiB) stays in L2 between the passes over it
+ELEMENT_BLOCK = 16384
 
 
 class RngStream:

@@ -243,6 +243,21 @@ class TestBadValuesExit2:
             loss = json.loads((out / "config.json").read_text())["loss"]
             assert loss["bsr_variant"] == "l1lq" and loss["q"] == 2.0
 
+    @pytest.mark.parametrize("flags, why", [
+        (("--variant", "kd", "--bsr", "l1linf", "--q", "3"),
+         "variant 'kd' with --bsr l1linf has no l1lq group term"),
+        (("--variant", "kd", "--q", "7"), "variant 'kd' has no l1lq group term"),
+        (("--variant", "st-svd", "--bsr", "l1linf", "--q", "3"),
+         "variant 'st-svd' with --bsr l1linf has no l1lq group term"),
+        (("--variant", "kd", "--bsr", "l1lq", "--lambda-g", "0", "--q", "3"),
+         "--lambda-g 0.0 turns the l1lq group term off"),
+    ], ids=["kd-l1linf", "kd-no-group", "st-svd-l1linf", "l1lq-weight-0"])
+    def test_q_the_run_would_ignore(self, corpus, teacher_run, tmp_path, capsys, flags, why):
+        out = tmp_path / "s"
+        assert self.student(corpus, *flags, "--out", str(out), teacher_run=teacher_run) == 2
+        assert f"--q {float(flags[-1])} would be ignored: {why}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_group_weight_the_run_would_ignore(self, corpus, teacher_run, tmp_path, capsys):
         for variant, flags in (("simple", ()), ("kd", ()), ("kd-vbd", ()),
                                ("st-svd", ("--bsr", "none"))):

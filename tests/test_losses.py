@@ -13,7 +13,7 @@ from sparsedistill.losses import (VARIANTS, BsrContext, LossConfig, _log_softmax
                                   effective_lambda_v, hint_loss, hint_node,
                                   make_bsr_context, resolve_variant, total_loss,
                                   warmup_scale)
-from sparsedistill.student import init_student
+from sparsedistill.student import alpha_log, init_student, kl_svd
 from sparsedistill.tensor import RngStream
 
 from conftest import assert_matches_reference, finite_difference_check, net_param_tensors
@@ -526,6 +526,25 @@ class TestTotalLoss:
                             bsr_ctx=ctx, rng=RngStream(0))
         assert at0["lambda_v_eff"] == 0.0
         assert at5["lambda_v_eff"] == pytest.approx(0.005)
+
+    def test_kl_at_zero_weight_moves_no_gradient(self):
+        # epoch 0 of the warm-up: the KL value is reported, and its backward never runs
+        cfg = resolve_variant("kd-svd", LossConfig(warmup_epochs=3))
+        runs = []
+        for c in (cfg, replace(cfg, kl_variant=None)):
+            params, xb, yb, rows, _, _ = self.setup_case()
+            loss, parts = total_loss(params, xb, yb, rows, c, epoch=0, n_train=100,
+                                     rng=RngStream(0))
+            loss.backward()
+            runs.append(([t.grad for triple in params for t in triple], parts))
+        (grads, parts), (bare_grads, bare_parts) = runs
+        assert parts["lambda_v_eff"] == 0.0 and bare_parts["kl"] == 0.0
+        net = init_student([6, 4, 3], seed=0)
+        assert parts["kl"] == sum(kl_svd(alpha_log(l.theta, l.log_sigma2)) for l in net.layers)
+        assert parts["kl"] > 0.0 and parts["total"] == bare_parts["total"]
+        assert len(grads) == 6 and all(g is not None for g in grads)
+        for got, want in zip(grads, bare_grads):
+            np.testing.assert_array_equal(got, want)
 
     def test_deterministic_under_same_stream(self):
         params, xb, yb, rows, cfg, ctx = self.setup_case()

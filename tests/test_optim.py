@@ -10,14 +10,14 @@ from sparsedistill.autograd import Tensor
 from sparsedistill.data import subset_indices
 from sparsedistill.errors import ConsistencyError, TrainingError, UsageError
 from sparsedistill.losses import LossConfig, resolve_variant
-from sparsedistill.optim import (_ADAM_BLOCK, Adam, StudentTrainConfig, _clip_global_norm,
-                                 evaluate_student, lowdata_sweep, report_student,
-                                 summarize_sweep, train_student)
+from sparsedistill.optim import (Adam, StudentTrainConfig, _clip_global_norm, evaluate_student,
+                                 lowdata_sweep, report_student, summarize_sweep, train_student)
 from sparsedistill.metrics import (compression_ratio, footprint, remaining_parameters,
                                    top1_error)
 from sparsedistill.student import (compact, init_student, prune_masks, student_digest,
                                    student_logits)
 from sparsedistill.teacher import count_parameters, init_mlp
+from sparsedistill.tensor import ELEMENT_BLOCK
 
 from conftest import make_blobs
 
@@ -102,7 +102,7 @@ class TestAdam:
     def test_moments_update_in_place_and_match_the_formula(self):
         rng = np.random.default_rng(5)
         arrays = [rng.normal(size=(4, 3)),
-                  rng.normal(size=3 * _ADAM_BLOCK + 7),          # three blocks and a tail
+                  rng.normal(size=3 * ELEMENT_BLOCK + 7),        # three blocks and a tail
                   rng.normal(size=1),
                   np.asfortranarray(rng.normal(size=(5, 7))),
                   rng.normal(size=(7, 5)).T,

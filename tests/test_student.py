@@ -13,7 +13,7 @@ from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
                                    prune_masks, save_student, student_digest,
                                    student_logits, student_logits_node)
 from sparsedistill.teacher import save_checkpoint, init_mlp
-from sparsedistill.tensor import ACTIVATIONS, RngStream, relu
+from sparsedistill.tensor import ACTIVATIONS, ELEMENT_BLOCK, RngStream, relu
 
 from conftest import assert_matches_reference, finite_difference_check, net_param_tensors
 
@@ -41,6 +41,13 @@ VBD_TABLE = {
     4: 0.0090749639589048702,
     8: 0.00016770318644788442,
 }
+
+# (theta, log sigma^2) pairs at the penalty's limits: a zero mean, theta^2 under the floor
+# (1e-160, and just under 1e-150) and at it (1e-150) with log alpha inside the clamp, and
+# log alpha exactly at and just past each clamp edge
+_PAST_CLAMP = np.nextafter(LOG_ALPHA_CLAMP, np.inf)
+KL_EDGES = [(0.0, -8.0), (1e-160, -690.0), (np.nextafter(1e-150, 0.0), -690.0), (1e-150, -690.0),
+            (1.0, LOG_ALPHA_CLAMP), (1.0, -LOG_ALPHA_CLAMP), (1.0, _PAST_CLAMP), (1.0, -_PAST_CLAMP)]
 
 
 def composed_kl(theta_t, log_sigma2_t, variant):
@@ -349,6 +356,45 @@ class TestKlGraphNodes:
             # the floor rule: theta^2 below it gets no gradient, theta^2 equal to it does
             assert theta.grad[0, 1] == theta.grad[0, 2] == 0.0 and theta.grad[0, 3] != 0.0
             assert np.all(logs2.grad[0, 1:6] != 0.0) and np.all(logs2.grad[0, 6:8] == 0.0)
+
+    @pytest.mark.parametrize("shape, at", [((1, 1), j) for j in range(len(KL_EDGES))]
+                             + [((43, 381), None), ((5, 3277), None), ((16, 1025), None)],
+                             ids=[f"1x1-{j}" for j in range(len(KL_EDGES))]
+                             + ["16383", "16385", "16400"])
+    def test_block_edges_match_composed_graph(self, shape, at):
+        # the floor rule and the clamp edges just before and just after the first block
+        # boundary (wrapping to the start of a layer too short to hold them)
+        n = shape[0] * shape[1]
+        assert n in (1, ELEMENT_BLOCK - 1, ELEMENT_BLOCK + 1, ELEMENT_BLOCK + 16)
+        rng = np.random.default_rng(n)
+        theta_data = rng.uniform(-0.1, 0.1, size=n)
+        logs2_data = rng.normal(-8.0, 4.0, size=n)
+        for j, (theta, logs2) in enumerate(KL_EDGES):
+            if at is None:
+                for i in ((ELEMENT_BLOCK - len(KL_EDGES) + j) % n, (ELEMENT_BLOCK + j) % n):
+                    theta_data[i], logs2_data[i] = theta, logs2
+            elif at == j:
+                theta_data[0], logs2_data[0] = theta, logs2
+        theta_data, logs2_data = theta_data.reshape(shape), logs2_data.reshape(shape)
+        for variant, fused, numeric in (("svd", kl_svd_node, kl_svd), ("vbd", kl_vbd_node, kl_vbd)):
+            results = []
+            composed = (reference_autograd.Tensor, lambda t, s: composed_kl(t, s, variant))
+            for engine, build in ((Tensor, fused), composed):
+                theta = engine(theta_data.copy(), requires_grad=True)
+                logs2 = engine(logs2_data.copy(), requires_grad=True)
+                node = build(theta, logs2)
+                (node * 0.37).backward()
+                results.append((node, theta, logs2))
+            (node, theta, logs2), (ref, ref_theta, ref_logs2) = results
+            # the reference takes log(1 + e), not log1p(e): near la = 40 it drops e ~ 4e-18
+            np.testing.assert_allclose(node.item(), ref.item(), rtol=1e-12, atol=1e-16)
+            for got, want in ((theta.grad, ref_theta.grad), (logs2.grad, ref_logs2.grad)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                np.testing.assert_array_equal(got[want == 0.0], 0.0)
+            # below the floor log alpha saturates either way, so alpha_log agrees with the node
+            sat = np.where(np.square(theta_data) < _THETA_SQ_FLOOR, 0.0, logs2_data)
+            value = fused(Tensor(theta_data), Tensor(sat)).item()
+            assert value == numeric(alpha_log(theta_data, sat))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
