@@ -9,9 +9,12 @@ High alpha means the noise dwarfs the mean, so the weight carries no
 signal and can be removed.  Training pushes alpha up wherever the data
 does not object, via one of two penalties applied per weight:
 
-  * kl_svd: a tight three-constant fit to the (intractable) KL between
+  * svd: a tight three-constant fit to the (intractable) KL between
     the posterior and a log-uniform prior, plus an exact tail term.
-  * kl_vbd: the closed-form tail term alone, 0.5 * log(1 + 1/alpha).
+  * vbd: the closed-form tail term alone, 0.5 * log(1 + 1/alpha).
+
+Each penalty is one graph node over a layer's (theta, log sigma^2),
+summed over its weights; its value is the node's ``.item()``.
 
 Both decrease strictly as log alpha grows, so minimising them drives
 alpha up.  This script prints the per-weight curves side by side, then
@@ -22,7 +25,14 @@ shows the mapping from (theta, log sigma^2) to a prune decision.
 
 import numpy as np
 
-from sparsedistill import alpha_log, init_student, kl_svd, kl_vbd, prune_mask
+from sparsedistill import Tensor, alpha_log, init_student, prune_mask
+from sparsedistill.student import kl_svd_node, kl_vbd_node
+
+
+def penalty(node, log_alpha):
+    """A penalty summed over ``log_alpha``: at theta 1, log alpha is log sigma^2 exactly."""
+    return node(Tensor(np.ones_like(log_alpha)), Tensor(log_alpha)).item()
+
 
 # ---------------------------------------------------------------------------
 # 1. Per-weight penalty values across the useful range of log alpha.
@@ -34,11 +44,12 @@ from sparsedistill import alpha_log, init_student, kl_svd, kl_vbd, prune_mask
 print(f"{'log alpha':>10} {'kl_svd':>12} {'kl_vbd':>12}")
 for la in [-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0]:
     one = np.array([la])
-    print(f"{la:>10.1f} {kl_svd(one):>12.6f} {kl_vbd(one):>12.6f}")
+    print(f"{la:>10.1f} {penalty(kl_svd_node, one):>12.6f} {penalty(kl_vbd_node, one):>12.6f}")
 
 # At the clamp boundary (the implementation limits log alpha to +/-40 so
 # exponentials stay finite) the penalties are effectively at their asymptotes:
-print(f"{40.0:>10.1f} {kl_svd(np.array([40.0])):>12.2e} {kl_vbd(np.array([40.0])):>12.2e}")
+edge = np.array([40.0])
+print(f"{40.0:>10.1f} {penalty(kl_svd_node, edge):>12.2e} {penalty(kl_vbd_node, edge):>12.2e}")
 
 # ---------------------------------------------------------------------------
 # 2. Strict monotonicity on a fine grid: no flat spots, so gradient
@@ -46,8 +57,8 @@ print(f"{40.0:>10.1f} {kl_svd(np.array([40.0])):>12.2e} {kl_vbd(np.array([40.0])
 # ---------------------------------------------------------------------------
 
 grid = np.linspace(-12.0, 12.0, 2001)
-svd_vals = np.array([kl_svd(np.array([v])) for v in grid])
-vbd_vals = np.array([kl_vbd(np.array([v])) for v in grid])
+svd_vals = np.array([penalty(kl_svd_node, np.array([v])) for v in grid])
+vbd_vals = np.array([penalty(kl_vbd_node, np.array([v])) for v in grid])
 print()
 print("strictly decreasing over [-12, 12]:",
       "svd" if np.all(np.diff(svd_vals) < 0) else "svd FLAT",

@@ -14,15 +14,14 @@ from .checkpoint import parse_arch
 from .data import Dataset, batch_iter, load_idx, subset_indices, write_idx
 from .errors import (ConsistencyError, DomainError, FormatError, LengthError,
                      ShapeError, StalenessError, TrainingError, UsageError)
-from .losses import (BsrContext, LossConfig, cross_entropy, hint_loss, make_bsr_context,
-                     resolve_variant, total_loss, warmup_scale)
+from .losses import (BsrContext, LossConfig, make_bsr_context, resolve_variant, total_loss,
+                     warmup_scale)
 from .metrics import (SparsityReport, csr_bytes, dense_bytes, emit_report, footprint,
                       inference_time, per_layer_sparsity_pct, sparsity_ratio, top1_error)
 from .optim import (Adam, StudentTrainConfig, evaluate_student, lowdata_sweep,
                     report_student, summarize_sweep, train_student)
 from .student import (StudentNet, VariationalDenseLayer, alpha_log, init_student,
-                      kl_svd, kl_vbd, load_student, prune_mask, prune_masks,
-                      save_student, student_logits)
+                      load_student, prune_mask, prune_masks, save_student, student_logits)
 from .teacher import (DenseMLP, LogitCache, TeacherConfig, count_parameters,
                       forward_logits, init_mlp, load_checkpoint, load_logit_cache,
                       payload_digest, precompute_logits, save_checkpoint,
@@ -41,9 +40,9 @@ __all__ = [
     "save_checkpoint", "load_checkpoint", "save_logit_cache", "load_logit_cache",
     "parse_arch",
     "StudentNet", "VariationalDenseLayer", "init_student", "alpha_log",
-    "prune_mask", "prune_masks", "kl_svd", "kl_vbd", "student_logits",
+    "prune_mask", "prune_masks", "student_logits",
     "save_student", "load_student",
-    "LossConfig", "resolve_variant", "warmup_scale", "cross_entropy", "hint_loss",
+    "LossConfig", "resolve_variant", "warmup_scale",
     "BsrContext", "make_bsr_context", "total_loss",
     "Adam", "StudentTrainConfig", "train_student", "evaluate_student",
     "report_student", "lowdata_sweep", "summarize_sweep",

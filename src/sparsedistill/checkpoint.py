@@ -39,15 +39,25 @@ _FIELDS = {
 }
 
 
+def _width(w) -> int:
+    """``w`` as an int; a bool, or a value that ``int`` refuses or changes, is refused."""
+    try:
+        if not isinstance(w, (bool, np.bool_)) and int(w) == w:
+            return int(w)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FormatError(f"architecture width {w!r} is not an integer")
+
+
 def parse_arch(spec) -> list[int]:
-    """Parse a dash-separated width string like ``"784-500-50-10"``."""
+    """Parse a dash-separated width string like ``"784-500-50-10"``, or a list of widths."""
     if isinstance(spec, str):
         parts = spec.split("-")
         if any(not p.strip().isdecimal() for p in parts):
             raise FormatError(f"malformed architecture string {spec!r}")
         widths = [int(p) for p in parts]
     else:
-        widths = [int(w) for w in spec]
+        widths = [_width(w) for w in spec]
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise FormatError(f"architecture needs >= 2 positive widths, got {widths}")
     return widths

@@ -13,6 +13,9 @@ weight matrix from both networks, stacked and zero-padded to a common
 height (the paper's Block Sparse Regularizer).  The teacher's matrices
 never change, so their row aggregates are precomputed once into a
 :class:`BsrContext` and only student rows go through the graph.
+
+Each term is defined once, as a graph node; its value alone is the node's
+``.item()``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .student import kl_svd_node, kl_vbd_node, student_logits_node
 
 __all__ = [
     "LossConfig", "resolve_variant", "warmup_scale", "effective_lambda_v",
-    "cross_entropy", "cross_entropy_node", "hint_loss", "hint_node",
+    "cross_entropy_node", "hint_node",
     "BsrContext", "make_bsr_context", "bsr_node", "total_loss", "VARIANTS",
 ]
 
@@ -125,21 +128,11 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - m - np.log(np.exp(z - m).sum(axis=1, keepdims=True))
 
 
-def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray, np.ndarray]:
-    """``(value, log-softmax, labels)``: the one formula behind both CE entry points."""
-    labels = _check_labels(labels, logits.shape[1])
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(labels)), labels].mean()), logp, labels
-
-
-def cross_entropy(logits: np.ndarray, labels) -> float:
-    """Mean negative log-likelihood of the true class."""
-    return _cross_entropy(np.asarray(logits, dtype=np.float64), labels)[0]
-
-
 def cross_entropy_node(logits: Tensor, labels) -> Tensor:
-    """Graph node of :func:`cross_entropy`; gradient ``g * (softmax - onehot) / N``."""
-    value, logp, labels = _cross_entropy(logits.data, labels)
+    """Mean negative log-likelihood of the true class; gradient ``g * (softmax - onehot) / N``."""
+    labels = _check_labels(labels, logits.data.shape[1])
+    logp = _log_softmax(logits.data)
+    value = float(-logp[np.arange(len(labels)), labels].mean())
 
     def back(g):
         d = np.exp(logp)
@@ -151,11 +144,18 @@ def cross_entropy_node(logits: Tensor, labels) -> Tensor:
     return Tensor(value, req, (logits,), back if req else None)
 
 
-def _hint(student_logits: np.ndarray, teacher_logits, temperature: float, reverse: bool):
-    """``(value, student log-probs, teacher log-probs, per-row KL)`` of the hint term."""
+def hint_node(student_logits: Tensor, teacher_logits: np.ndarray,
+              temperature: float, reverse: bool = False) -> Tensor:
+    """``2 T^2`` times the batch-mean KL between softened class distributions.
+
+    By default the student's distribution ``p`` is the one under the log
+    (gradients reshape the student toward the teacher's ``q``); ``reverse``
+    swaps the roles.  The gradient is ``g * 2T/N`` times
+    ``p * (log p - log q - KL_row)``, or ``p - q`` when ``reverse``.
+    """
     if temperature <= 0:
         raise DomainError(f"temperature must be positive, got {temperature}")
-    zs = np.asarray(student_logits, dtype=np.float64) / temperature
+    zs = student_logits.data / temperature
     zt = np.asarray(teacher_logits, dtype=np.float64) / temperature
     if zs.shape != zt.shape:
         raise ShapeError(f"logit shapes differ: {zs.shape} vs {zt.shape}")
@@ -164,26 +164,7 @@ def _hint(student_logits: np.ndarray, teacher_logits, temperature: float, revers
         kl_rows = (np.exp(lpt) * (lpt - lps)).sum(axis=1)
     else:
         kl_rows = (np.exp(lps) * (lps - lpt)).sum(axis=1)
-    return float(2.0 * temperature ** 2 * kl_rows.mean()), lps, lpt, kl_rows
-
-
-def hint_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
-              temperature: float, reverse: bool = False) -> float:
-    """``2 T^2`` times the batch-mean KL between softened class distributions.
-
-    By default the student's distribution is the one under the log
-    (gradients reshape the student toward the teacher); ``reverse`` swaps
-    the roles.
-    """
-    return _hint(student_logits, teacher_logits, temperature, reverse)[0]
-
-
-def hint_node(student_logits: Tensor, teacher_logits: np.ndarray,
-              temperature: float, reverse: bool = False) -> Tensor:
-    """Graph node of :func:`hint_loss`.  With ``p``/``q`` the student's and the
-    teacher's softened distributions, the gradient is ``g * 2T/N`` times
-    ``p * (log p - log q - KL_row)``, or ``p - q`` when ``reverse``."""
-    value, lps, lpt, kl_rows = _hint(student_logits.data, teacher_logits, temperature, reverse)
+    value = float(2.0 * temperature ** 2 * kl_rows.mean())
 
     def back(g):
         p = np.exp(lps)
@@ -304,8 +285,7 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
     logits = student_logits_node(param_ts, xb, eps_list, activation=activation)
 
     loss = cross_entropy_node(logits, yb)
-    parts = {"ce": loss.item(), "temperature": cfg.temperature,
-             "lambda_t": cfg.lambda_t, "lambda_g": cfg.lambda_g}
+    parts = {"ce": loss.item()}
 
     if cfg.lambda_t != 0.0 and teacher_rows is not None:
         hint = hint_node(logits, teacher_rows, cfg.temperature, cfg.hint_reverse)

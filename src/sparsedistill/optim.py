@@ -15,6 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from .autograd import Tensor
+from .checkpoint import parse_arch
 from .data import Dataset, batch_iter, subset_indices
 from .errors import ConsistencyError, TrainingError, UsageError
 from .losses import BsrContext, LossConfig, make_bsr_context, total_loss
@@ -27,14 +28,15 @@ __all__ = ["Adam", "StudentTrainConfig", "train_student", "evaluate_student",
            "report_student", "lowdata_sweep", "summarize_sweep"]
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and offset, Kingma and Ba's defaults
+
+
 class Adam(object):
     """Adam with bias correction; updates parameter arrays in place."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros(p.data.size) for p in self.params]  # flat, row-major
         self._v = [np.zeros(p.data.size) for p in self.params]
@@ -47,7 +49,7 @@ class Adam(object):
     def step(self):
         """Update in blocks of ``ELEMENT_BLOCK`` elements: the unblocked ufuncs, order and bits."""
         self.t += 1
-        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        c1, c2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
@@ -57,12 +59,12 @@ class Adam(object):
             for lo in range(0, data.size, ELEMENT_BLOCK):
                 g, m, v, x = (y[lo:lo + ELEMENT_BLOCK] for y in (grad, self._m[i], self._v[i], data))
                 a, b = self._scratch[:, :len(g)]
-                m *= self.beta1
-                m += np.multiply(g, 1.0 - self.beta1, out=a)
-                v *= self.beta2
-                v += np.multiply(np.square(g, out=a), 1.0 - self.beta2, out=a)
+                m *= BETA1
+                m += np.multiply(g, 1.0 - BETA1, out=a)
+                v *= BETA2
+                v += np.multiply(np.square(g, out=a), 1.0 - BETA2, out=a)
                 np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
-                np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+                np.add(np.sqrt(np.divide(v, c2, out=b), out=b), EPS, out=b)
                 x -= np.divide(a, b, out=a)
             if not p.data.flags.c_contiguous:  # then reshape copied it: write the copy back
                 p.data[...] = data.reshape(p.data.shape)
@@ -81,6 +83,7 @@ class StudentTrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
+        self.arch = parse_arch(self.arch)
         check_schedule(self.epochs, self.batch_size, self.lr)
         if np.isnan(self.tau):
             raise UsageError(f"tau must be a number, got {self.tau}")

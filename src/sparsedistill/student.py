@@ -4,8 +4,9 @@ Each layer keeps a mean matrix ``theta`` and a log-variance matrix
 ``log_sigma2`` over weights of the same shape.  The dropout rate of a
 weight is summarised by ``log alpha = log sigma^2 - log theta^2``; large
 values mean the multiplicative noise drowns the mean and the weight can
-be removed.  Two KL penalties over log-alpha are provided (the sparsifying
-form and the simpler log-uniform bound), plus pruning masks, forward
+be removed.  Two KL penalties over log-alpha are provided as graph nodes
+(the sparsifying form and the simpler log-uniform bound; a penalty's value
+alone is its node's ``.item()``), plus pruning masks, forward
 passes for training (a graph of noisy layers, via the local
 reparameterisation trick) and evaluation (deterministic, masked, with the
 weight rows the masks prune entirely skipped), and checkpoint round-tripping.
@@ -26,7 +27,7 @@ __all__ = [
     "K1", "K2", "K3", "LOG_ALPHA_CLAMP",
     "VariationalDenseLayer", "StudentNet",
     "init_student", "alpha_log", "prune_mask", "prune_masks",
-    "kl_svd", "kl_vbd", "kl_svd_node", "kl_vbd_node",
+    "kl_svd_node", "kl_vbd_node",
     "compact", "student_logits",
     "save_student", "load_student", "student_digest",
 ]
@@ -118,60 +119,19 @@ def prune_masks(net: StudentNet, tau: float) -> list[np.ndarray]:
 # -- KL penalties over log-alpha ----------------------------------------------
 
 
-def _kl_block(neg_la: np.ndarray, variant: str, e: np.ndarray, s: np.ndarray) -> float:
-    """The penalty summed over one block of clamped ``-log alpha``: the one per-weight formula.
-
-    Leaves ``e = exp(-la)`` in ``e`` and, for ``svd``, ``s = 1/(1 + exp(K2 + K3*la))`` in ``s``
-    (scratch for ``vbd``), for the gradient to reuse.  ``svd`` folds the constant-offset pair
-    into one complementary sigmoid, K1 - K1*sigmoid(x) = K1*sigmoid(-x), which keeps the tiny
-    tail from being absorbed into the constant and then cancelled away.
-    """
-    np.exp(neg_la, out=e)
-    value = 0.5 * float(np.log1p(e, out=s).sum())
-    if variant == "svd":  # s = c/(c + exp(K3*la)) with c = exp(-K2)
-        np.exp(np.multiply(neg_la, -K3, out=s), out=s)
-        s += _EXP_NEG_K2
-        value += K1 * float(np.divide(_EXP_NEG_K2, s, out=s).sum())
-    return value
-
-
-def _kl_sum(log_alpha: np.ndarray, variant: str) -> float:
-    """The penalty over every weight, in the node's blocks and order, hence its bits."""
-    neg_la = -np.clip(np.asarray(log_alpha, dtype=np.float64).reshape(-1),
-                      -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
-    e, s = np.empty((2, min(neg_la.size, ELEMENT_BLOCK)))
-    value = 0.0
-    for lo in range(0, neg_la.size, ELEMENT_BLOCK):
-        b = neg_la[lo:lo + ELEMENT_BLOCK]
-        value += _kl_block(b, variant, e[:len(b)], s[:len(b)])
-    return value
-
-
-def kl_svd(log_alpha: np.ndarray) -> float:
-    """Sparsifying penalty, summed.  Non-negative, and vanishes as alpha
-    grows, so minimising it pushes weights toward removal."""
-    return _kl_sum(log_alpha, "svd")
-
-
-def kl_vbd(log_alpha: np.ndarray) -> float:
-    """Log-uniform bound penalty, summed: 0.5 * log(1 + 1/alpha)."""
-    return _kl_sum(log_alpha, "vbd")
-
-
 def _kl_node(theta_t: Tensor, log_sigma2_t: Tensor, variant: str) -> Tensor:
     """One graph node for a layer's summed penalty, with its closed-form gradient.
 
-    log alpha = log sigma^2 - log max(theta^2, floor), clamped.  No gradient
+    log alpha = log sigma^2 - log max(theta^2, floor), clamped.  Per weight, ``vbd`` is
+    0.5 * log(1 + 1/alpha); ``svd`` adds K1 * sigmoid(-(K2 + K3 * log alpha)), kept as one
+    sigmoid so its tiny tail is not cancelled against a constant.  No gradient
     flows where the raw log alpha lies outside the closed clamp interval, nor
     to theta where theta^2 < floor.  Both passes run in flat blocks of
-    ``ELEMENT_BLOCK`` weights, the blocks :func:`kl_svd` sums in, so the value
-    equals ``kl_svd(alpha_log(theta, log_sigma2))`` when each theta^2 is at
-    least the floor or its log alpha saturates.  The forward keeps ``exp(-la)``
-    and the sigmoid, set to 0 past the clamp; ``back`` builds the derivative
-    from them, 0 there, with no transcendental of its own, so a node whose
-    backward never runs pays for the value only.  Value and gradients agree
-    with the penalty composed from single graph operations to rtol 1e-12, not
-    bit for bit.
+    ``ELEMENT_BLOCK`` weights.  The forward keeps ``exp(-la)`` and the sigmoid,
+    set to 0 past the clamp; ``back`` builds the derivative from them, 0 there,
+    with no transcendental of its own, so a node whose backward never runs pays
+    for the value only.  Value and gradients agree with the penalty composed
+    from single graph operations to rtol 1e-12, not bit for bit.
     """
     theta, log_sigma2 = theta_t.data.reshape(-1), log_sigma2_t.data.reshape(-1)
     n, svd = theta.size, variant == "svd"
@@ -184,11 +144,18 @@ def _kl_node(theta_t: Tensor, log_sigma2_t: Tensor, variant: str) -> Tensor:
         np.maximum(np.multiply(theta[blk], theta[blk], out=w), _THETA_SQ_FLOOR, out=w)
         np.subtract(np.log(w, out=w), log_sigma2[blk], out=w)
         cut = np.abs(w, out=b) > LOG_ALPHA_CLAMP
-        np.clip(w, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP, out=w)
-        value += _kl_block(w, variant, e[blk], s[blk] if svd else b)
-        e[blk][cut] = 0.0  # past the clamp: e = s = 0 makes the derivative 0
+        np.clip(w, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP, out=w)  # w = -la from here
+        eb, sb = e[blk], (s[blk] if svd else b)
+        np.exp(w, out=eb)
+        part = 0.5 * float(np.log1p(eb, out=sb).sum())
+        if svd:  # sb = c/(c + exp(K3*la)) with c = exp(-K2)
+            np.exp(np.multiply(w, -K3, out=sb), out=sb)
+            sb += _EXP_NEG_K2
+            part += K1 * float(np.divide(_EXP_NEG_K2, sb, out=sb).sum())
+        value += part  # the block's sum first, then the layer's: that order fixes the bits
+        eb[cut] = 0.0  # past the clamp: e = s = 0 makes the derivative 0
         if svd:
-            s[blk][cut] = 0.0
+            sb[cut] = 0.0
 
     def back(g):
         g = float(g)
@@ -217,13 +184,12 @@ def _kl_node(theta_t: Tensor, log_sigma2_t: Tensor, variant: str) -> Tensor:
 
 
 def kl_svd_node(theta_t: Tensor, log_sigma2_t: Tensor) -> Tensor:
-    """Graph version of :func:`kl_svd` on log alpha from the layer's
-    parameters; returns the scalar sum."""
+    """The sparsifying penalty of a layer, summed over its weights, as a graph node."""
     return _kl_node(theta_t, log_sigma2_t, "svd")
 
 
 def kl_vbd_node(theta_t: Tensor, log_sigma2_t: Tensor) -> Tensor:
-    """Graph version of :func:`kl_vbd`; returns the scalar sum."""
+    """The log-uniform bound penalty of a layer, summed over its weights, as a graph node."""
     return _kl_node(theta_t, log_sigma2_t, "vbd")
 
 

@@ -78,6 +78,7 @@ class TeacherConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        self.arch = parse_arch(self.arch)
         check_schedule(self.epochs, self.batch_size, self.lr)
 
 

@@ -114,6 +114,12 @@ def net_param_tensors(net) -> list:
              Tensor(l.bias, requires_grad=True)) for l in net.layers]
 
 
+def kl_value(node, log_alpha) -> float:
+    """A KL node's summed penalty at ``log_alpha``: at theta 1, log alpha is log sigma^2 exactly."""
+    la = np.asarray(log_alpha, dtype=np.float64)
+    return node(Tensor(np.ones_like(la)), Tensor(la)).item()
+
+
 @pytest.fixture
 def gradcheck():
     return finite_difference_check

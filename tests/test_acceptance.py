@@ -16,13 +16,12 @@ from sparsedistill.losses import (LossConfig, bsr_node, cross_entropy_node, hint
 from sparsedistill.metrics import csr_bytes, footprint
 from sparsedistill.optim import (StudentTrainConfig, evaluate_student, lowdata_sweep,
                                  summarize_sweep, train_student)
-from sparsedistill.student import (init_student, kl_svd, kl_svd_node, kl_vbd,
-                                   kl_vbd_node, prune_masks)
+from sparsedistill.student import init_student, kl_svd_node, kl_vbd_node, prune_masks
 from sparsedistill.teacher import (TeacherConfig, count_parameters, precompute_logits,
                                    train_teacher)
 from sparsedistill.tensor import RngStream
 
-from conftest import finite_difference_check, make_blobs, net_param_tensors
+from conftest import finite_difference_check, kl_value, make_blobs, net_param_tensors
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -106,15 +105,15 @@ class TestKlOracles:
     }
 
     def test_vbd_at_unit_alpha(self):
-        assert abs(kl_vbd(np.array([0.0])) - 0.34657359027997265) < 1e-12
+        assert abs(kl_value(kl_vbd_node, np.array([0.0])) - 0.34657359027997265) < 1e-12
 
     def test_svd_reference_table(self):
         for la, expected in self.SVD_REFERENCE.items():
-            assert abs(kl_svd(np.array([float(la)])) - expected) < 1e-9
+            assert abs(kl_value(kl_svd_node, np.array([float(la)])) - expected) < 1e-9
 
     def test_both_penalties_vanish_at_large_alpha(self):
-        assert kl_svd(np.array([40.0])) < 1e-9
-        assert kl_vbd(np.array([40.0])) < 1e-9
+        assert kl_value(kl_svd_node, np.array([40.0])) < 1e-9
+        assert kl_value(kl_vbd_node, np.array([40.0])) < 1e-9
 
 
 def group_norm(teacher, student, variant, q=2.0):

@@ -8,7 +8,7 @@ import pytest
 from sparsedistill import optim
 from sparsedistill.autograd import Tensor
 from sparsedistill.data import subset_indices
-from sparsedistill.errors import ConsistencyError, TrainingError, UsageError
+from sparsedistill.errors import ConsistencyError, FormatError, TrainingError, UsageError
 from sparsedistill.losses import LossConfig, resolve_variant
 from sparsedistill.optim import (Adam, StudentTrainConfig, _clip_global_norm, evaluate_student,
                                  lowdata_sweep, report_student, summarize_sweep, train_student)
@@ -53,6 +53,13 @@ class TestStudentTrainConfig:
             with pytest.raises(UsageError, match=f"grad clip must be .*got {bad}"):
                 quick_cfg(grad_clip=bad)
         assert quick_cfg(grad_clip=0.5).grad_clip == 0.5
+
+    def test_arch_is_parsed_where_it_enters(self):
+        with pytest.raises(FormatError, match="width 4.9 is not an integer"):
+            quick_cfg(arch=[6, 4.9, 3])
+        with pytest.raises(FormatError, match="'6-x-3'"):
+            quick_cfg(arch="6-x-3")
+        assert asdict(quick_cfg(arch=(8, 6.0, 3)))["arch"] == [8, 6, 3]  # what session.jsonl records
 
 
 class TestAdam:

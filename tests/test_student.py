@@ -8,14 +8,15 @@ from sparsedistill.autograd import Tensor
 from sparsedistill.errors import ConsistencyError, FormatError, ShapeError
 from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
                                    VariationalDenseLayer, _THETA_SQ_FLOOR, compact,
-                                   alpha_log, init_student, kl_svd, kl_svd_node, kl_vbd,
-                                   kl_vbd_node, load_student, prune_mask,
+                                   alpha_log, init_student, kl_svd_node, kl_vbd_node,
+                                   load_student, prune_mask,
                                    prune_masks, save_student, student_digest,
                                    student_logits, student_logits_node)
 from sparsedistill.teacher import save_checkpoint, init_mlp
 from sparsedistill.tensor import ACTIVATIONS, ELEMENT_BLOCK, RngStream, relu
 
-from conftest import assert_matches_reference, finite_difference_check, net_param_tensors
+from conftest import (assert_matches_reference, finite_difference_check, kl_value,
+                      net_param_tensors)
 
 # Frozen single-weight penalty values from tests/make_oracles.py (50-digit
 # arithmetic, printed to 17 significant digits).
@@ -255,66 +256,57 @@ class TestCompactedForward:
 class TestKlPenalties:
     def test_svd_frozen_values(self):
         for la, expected in SVD_TABLE.items():
-            assert abs(kl_svd(np.array([float(la)])) - expected) < 1e-12
+            assert abs(kl_value(kl_svd_node, np.array([float(la)])) - expected) < 1e-12
 
     def test_vbd_frozen_values(self):
         for la, expected in VBD_TABLE.items():
-            assert abs(kl_vbd(np.array([float(la)])) - expected) < 1e-12
+            assert abs(kl_value(kl_vbd_node, np.array([float(la)])) - expected) < 1e-12
 
     def test_vbd_at_unit_alpha_is_half_log_two(self):
-        assert abs(kl_vbd(np.array([0.0])) - 0.5 * np.log(2.0)) < 1e-12
+        assert abs(kl_value(kl_vbd_node, np.array([0.0])) - 0.5 * np.log(2.0)) < 1e-12
 
     def test_sum_over_array_matches_singles(self):
         grid = np.array(sorted(SVD_TABLE), dtype=np.float64)
-        assert abs(kl_svd(grid) - sum(SVD_TABLE.values())) < 1e-12
-        assert abs(kl_vbd(grid) - sum(VBD_TABLE.values())) < 1e-12
+        assert abs(kl_value(kl_svd_node, grid) - sum(SVD_TABLE.values())) < 1e-12
+        assert abs(kl_value(kl_vbd_node, grid) - sum(VBD_TABLE.values())) < 1e-12
 
     def test_nonnegative_and_decreasing(self):
         la = np.linspace(-39, 39, 300)
-        svd_vals = np.array([kl_svd(np.array([v])) for v in la])
-        vbd_vals = np.array([kl_vbd(np.array([v])) for v in la])
+        svd_vals = np.array([kl_value(kl_svd_node, np.array([v])) for v in la])
+        vbd_vals = np.array([kl_value(kl_vbd_node, np.array([v])) for v in la])
         assert np.all(svd_vals >= 0) and np.all(vbd_vals >= 0)
         assert np.all(np.diff(svd_vals) < 0)
         assert np.all(np.diff(vbd_vals) < 0)
 
     def test_vanishes_at_clamp_ceiling(self):
-        assert kl_svd(np.array([LOG_ALPHA_CLAMP])) < 1e-9
-        assert kl_vbd(np.array([LOG_ALPHA_CLAMP])) < 1e-9
+        assert kl_value(kl_svd_node, np.array([LOG_ALPHA_CLAMP])) < 1e-9
+        assert kl_value(kl_vbd_node, np.array([LOG_ALPHA_CLAMP])) < 1e-9
 
     def test_clamp_floor_saturates(self):
-        assert abs(kl_svd(np.array([-1000.0])) - kl_svd(np.array([-40.0]))) < 1e-15
-        assert abs(kl_svd(np.array([-40.0])) - 20.63576) < 1e-9
-        assert abs(kl_vbd(np.array([-40.0])) - 20.0) < 1e-9
+        floor = kl_value(kl_svd_node, np.array([-40.0]))
+        assert abs(kl_value(kl_svd_node, np.array([-1000.0])) - floor) < 1e-15
+        assert abs(kl_value(kl_svd_node, np.array([-40.0])) - 20.63576) < 1e-9
+        assert abs(kl_value(kl_vbd_node, np.array([-40.0])) - 20.0) < 1e-9
 
     def test_infinite_alpha_contributes_zero(self):
-        assert kl_svd(np.array([np.inf])) < 1e-12
-        assert kl_vbd(np.array([np.inf])) < 1e-12
+        assert kl_value(kl_svd_node, np.array([np.inf])) < 1e-12
+        assert kl_value(kl_vbd_node, np.array([np.inf])) < 1e-12
 
 
 class TestKlGraphNodes:
-    def test_nodes_match_numeric_on_random_layers(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            theta = rng.uniform(0.05, 2.0, size=(5, 4)) * rng.choice([-1, 1], size=(5, 4))
-            logs2 = rng.uniform(-10, 3, size=(5, 4))
-            la = alpha_log(theta, logs2)
-            t, s = Tensor(theta), Tensor(logs2)
-            assert abs(kl_svd_node(t, s).item() - kl_svd(la)) < 1e-10
-            assert abs(kl_vbd_node(t, s).item() - kl_vbd(la)) < 1e-10
-
     def test_nodes_agree_at_zero_mean(self):
         theta = np.array([[0.0, 1.0]])
         logs2 = np.array([[-8.0, -8.0]])
-        numeric = kl_svd(alpha_log(theta, logs2))
+        at_prune_rule = kl_value(kl_svd_node, alpha_log(theta, logs2))  # log alpha +inf at 0
         graph = kl_svd_node(Tensor(theta), Tensor(logs2)).item()
-        assert abs(numeric - graph) < 1e-12
+        assert abs(at_prune_rule - graph) < 1e-12
 
     def test_fused_log_alpha_forward(self):
         theta = np.array([[0.5, -2.0, 1e-30]])
         logs2 = np.array([[-4.0, 1.0, 0.0]])
         la = alpha_log(theta, logs2)
-        assert kl_svd_node(Tensor(theta), Tensor(logs2)).item() == kl_svd(la)
-        assert kl_vbd_node(Tensor(theta), Tensor(logs2)).item() == kl_vbd(la)
+        assert kl_svd_node(Tensor(theta), Tensor(logs2)).item() == kl_value(kl_svd_node, la)
+        assert kl_vbd_node(Tensor(theta), Tensor(logs2)).item() == kl_value(kl_vbd_node, la)
 
     def test_fused_log_alpha_saturated_gradient_is_zero(self):
         # raw log alpha 138 (theta 1e-30), then exactly at and just past each clamp edge
@@ -376,7 +368,7 @@ class TestKlGraphNodes:
             elif at == j:
                 theta_data[0], logs2_data[0] = theta, logs2
         theta_data, logs2_data = theta_data.reshape(shape), logs2_data.reshape(shape)
-        for variant, fused, numeric in (("svd", kl_svd_node, kl_svd), ("vbd", kl_vbd_node, kl_vbd)):
+        for variant, fused in (("svd", kl_svd_node), ("vbd", kl_vbd_node)):
             results = []
             composed = (reference_autograd.Tensor, lambda t, s: composed_kl(t, s, variant))
             for engine, build in ((Tensor, fused), composed):
@@ -394,7 +386,7 @@ class TestKlGraphNodes:
             # below the floor log alpha saturates either way, so alpha_log agrees with the node
             sat = np.where(np.square(theta_data) < _THETA_SQ_FLOOR, 0.0, logs2_data)
             value = fused(Tensor(theta_data), Tensor(sat)).item()
-            assert value == numeric(alpha_log(theta_data, sat))
+            assert value == kl_value(fused, alpha_log(theta_data, sat))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)

@@ -33,6 +33,12 @@ class TestParseArch:
         with pytest.raises(FormatError):
             parse_arch([5])
 
+    def test_rejects_widths_that_are_not_integers(self):
+        for bad in (4.9, True, np.True_, "4", None, float("nan"), float("inf")):
+            with pytest.raises(FormatError, match=f"width {bad!r} is not an integer"):
+                parse_arch([6, bad, 3])
+        assert parse_arch([6, 4.0, np.int64(3)]) == [6, 4, 3]
+
 
 class TestCountParameters:
     def test_teacher_architecture_count(self):
@@ -138,6 +144,11 @@ class TestTeacherConfig:
         for bad in (-1.0, 0.0, float("nan")):
             with pytest.raises(UsageError, match="lr must be"):
                 TeacherConfig(lr=bad)
+
+    def test_arch_is_parsed_where_it_enters(self):
+        with pytest.raises(FormatError, match="width True is not an integer"):
+            TeacherConfig(arch=[6, True, 3])
+        assert TeacherConfig(arch="6-5-3").arch == [6, 5, 3]
 
 
 class TestTrainTeacher:
