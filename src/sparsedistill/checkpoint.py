@@ -39,14 +39,14 @@ _FIELDS = {
 }
 
 
-def _width(w) -> int:
-    """``w`` as an int; a bool, or a value that ``int`` refuses or changes, is refused."""
+def as_int(value, what: str, error=FormatError) -> int:
+    """``value`` as an int; a bool, or a value that ``int`` refuses or changes, raises ``error``."""
     try:
-        if not isinstance(w, (bool, np.bool_)) and int(w) == w:
-            return int(w)
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise FormatError(f"architecture width {w!r} is not an integer")
+    raise error(f"{what} {value!r} is not an integer")
 
 
 def parse_arch(spec) -> list[int]:
@@ -57,7 +57,7 @@ def parse_arch(spec) -> list[int]:
             raise FormatError(f"malformed architecture string {spec!r}")
         widths = [int(p) for p in parts]
     else:
-        widths = [_width(w) for w in spec]
+        widths = [as_int(w, "architecture width") for w in spec]
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise FormatError(f"architecture needs >= 2 positive widths, got {widths}")
     return widths

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .autograd import Tensor
+from .checkpoint import as_int
 from .errors import DomainError, ShapeError, UsageError
 from .student import kl_svd_node, kl_vbd_node, student_logits_node
 
@@ -60,8 +61,11 @@ class LossConfig:
         if not (self.temperature > 0 and np.isfinite(self.temperature)):
             rule = "finite" if self.temperature > 0 else "positive"
             raise UsageError(f"temperature must be {rule}, got {self.temperature}")
+        self.warmup_epochs = as_int(self.warmup_epochs, "warmup_epochs", UsageError)
         if self.warmup_epochs < 0:
             raise UsageError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        if not isinstance(self.hint_reverse, bool):
+            raise UsageError(f"hint_reverse must be True or False, got {self.hint_reverse!r}")
         for name in ("lambda_t", "lambda_g", "lambda_v_max"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value >= 0):
@@ -101,9 +105,7 @@ def resolve_variant(variant: str, base: LossConfig | None = None,
 
 def warmup_scale(epoch: int, warmup_epochs: int) -> float:
     """Linear ramp from 0 at epoch 0 to 1 at ``warmup_epochs`` (0-indexed)."""
-    if warmup_epochs <= 0:
-        return 1.0
-    return min(1.0, epoch / warmup_epochs)
+    return 1.0 if warmup_epochs <= 0 else min(1.0, epoch / warmup_epochs)
 
 
 def effective_lambda_v(cfg: LossConfig, epoch: int, n_train: int) -> float:

@@ -15,14 +15,14 @@ from time import perf_counter
 import numpy as np
 
 from .autograd import Tensor
-from .checkpoint import parse_arch
+from .checkpoint import as_int, parse_arch
 from .data import Dataset, batch_iter, subset_indices
 from .errors import ConsistencyError, TrainingError, UsageError
 from .losses import BsrContext, LossConfig, make_bsr_context, total_loss
 from .metrics import (SparsityReport, compression_ratio, footprint, inference_time, json_line,
                       per_layer_sparsity_pct, remaining_parameters, sparsity_ratio, top1_error)
 from .student import StudentNet, compact, init_student, prune_masks
-from .tensor import ELEMENT_BLOCK, RngStream, dense_forward
+from .tensor import ACTIVATIONS, ELEMENT_BLOCK, RngStream, dense_forward
 
 __all__ = ["Adam", "StudentTrainConfig", "train_student", "evaluate_student",
            "report_student", "lowdata_sweep", "summarize_sweep"]
@@ -84,35 +84,40 @@ class StudentTrainConfig:
 
     def __post_init__(self):
         self.arch = parse_arch(self.arch)
-        check_schedule(self.epochs, self.batch_size, self.lr)
+        check_schedule(self)
+        if not np.isfinite(self.log_sigma2_init):
+            raise UsageError(f"log_sigma2_init must be a finite number, got {self.log_sigma2_init}")
         if np.isnan(self.tau):
             raise UsageError(f"tau must be a number, got {self.tau}")
         if self.grad_clip is not None and not (np.isfinite(self.grad_clip) and self.grad_clip > 0):
             raise UsageError(f"grad clip must be a finite number > 0, got {self.grad_clip}")
 
 
-def check_schedule(epochs: int, batch_size: int, lr: float) -> None:
-    """Reject a training schedule that cannot run: shared by both networks' configs."""
-    if epochs < 1:
-        raise UsageError(f"epochs must be at least 1, got {epochs}")
-    if batch_size < 1:
-        raise UsageError(f"batch size must be at least 1, got {batch_size}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise UsageError(f"lr must be a finite number > 0, got {lr}")
+def check_schedule(cfg) -> None:
+    """Check the fields both networks' configs share, storing epochs, batch size and seed as ints."""
+    cfg.epochs = as_int(cfg.epochs, "epochs", UsageError)
+    cfg.batch_size = as_int(cfg.batch_size, "batch size", UsageError)
+    cfg.seed = as_int(cfg.seed, "seed", UsageError)
+    if cfg.epochs < 1:
+        raise UsageError(f"epochs must be at least 1, got {cfg.epochs}")
+    if cfg.batch_size < 1:
+        raise UsageError(f"batch size must be at least 1, got {cfg.batch_size}")
+    if isinstance(cfg.lr, (bool, np.bool_)) or not (np.isfinite(cfg.lr) and cfg.lr > 0):
+        raise UsageError(f"lr must be a finite number > 0, got {cfg.lr}")
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.activation not in ACTIVATIONS:
+        raise UsageError(f"unknown activation {cfg.activation!r}; "
+                         f"expected one of {', '.join(ACTIVATIONS)}")
 
 
 def _clip_global_norm(params, max_norm: float):
     """Scale all gradients together so their joint l2 norm is at most max_norm."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(np.square(p.grad)))
-    norm = np.sqrt(total)
+    grads = [p.grad for p in params if p.grad is not None]
+    norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads))
     if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= max_norm / norm
 
 
 def train_student(ds: Dataset, teacher_logits: np.ndarray | None,

@@ -79,7 +79,7 @@ class TeacherConfig:
 
     def __post_init__(self):
         self.arch = parse_arch(self.arch)
-        check_schedule(self.epochs, self.batch_size, self.lr)
+        check_schedule(self)
 
 
 @dataclass

@@ -44,16 +44,8 @@ class RngStream:
         return self._gen.random(shape, dtype=np.float64)
 
     def normal(self, rows: int, cols: int) -> np.ndarray:
-        """Standard normal matrix via Box-Muller on Philox uniforms."""
-        n = int(rows) * int(cols)
-        half = (n + 1) // 2
-        u = self._gen.random(2 * half, dtype=np.float64)
-        u1 = 1.0 - u[:half]  # (0, 1], keeps log() finite
-        u2 = u[half:]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-        return z[:n].reshape(int(rows), int(cols))
+        """Standard normal matrix from the Philox generator's own sampler."""
+        return self._gen.standard_normal((int(rows), int(cols)))
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

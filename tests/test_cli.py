@@ -391,19 +391,23 @@ class TestStudentArtifacts:
         assert row["r_c"] > 1.0
         assert row["inference_ms"] is None
 
+    @pytest.mark.parametrize("variant", ["kd", "st-svd"])  # st-svd adds the KL and group terms
     def test_rerun_reproduces_log_and_weights(self, corpus, teacher_run,
-                                              tmp_path_factory):
+                                              tmp_path_factory, variant):
         out = tmp_path_factory.mktemp("repeat")
         argv = ["train-student", *data_flags(corpus, test=False),
-                "--arch", "16-8-3", "--variant", "kd", "--epochs", "2",
+                "--arch", "16-8-3", "--variant", variant, "--epochs", "2",
                 "--batch", "32", "--teacher", teacher_run["teacher"],
                 "--cache", teacher_run["cache"], "--out", str(out)]
+
+        def outputs():  # every file but the wall-clock log
+            return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timing.jsonl"}
+
         assert main(argv) == 0
-        session = (out / "session.jsonl").read_bytes()
-        weights = (out / "student.ckpt.bin").read_bytes()
+        first = outputs()
+        assert {"session.jsonl", "student.ckpt", "student.ckpt.bin", "config.json"} <= first.keys()
         assert main(argv) == 0
-        assert (out / "session.jsonl").read_bytes() == session
-        assert (out / "student.ckpt.bin").read_bytes() == weights
+        assert outputs() == first
 
     def test_config_file_precedence(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"

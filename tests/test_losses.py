@@ -88,6 +88,19 @@ class TestLossConfig:
             LossConfig(warmup_epochs=-4)
         assert LossConfig(warmup_epochs=0).warmup_epochs == 0
 
+    def test_warmup_epochs_must_be_an_integer(self):
+        for bad in (2.5, True, float("nan"), float("inf"), None):
+            with pytest.raises(UsageError, match=f"warmup_epochs {bad!r} is not an integer"):
+                LossConfig(warmup_epochs=bad)
+        cfg = LossConfig(warmup_epochs=4.0)
+        assert cfg.warmup_epochs == 4 and type(cfg.warmup_epochs) is int
+
+    def test_hint_reverse_must_be_a_bool(self):
+        for bad in ("no", "false", 0, 1, None):
+            with pytest.raises(UsageError, match=f"hint_reverse must be True or False, got {bad!r}"):
+                LossConfig(hint_reverse=bad)
+        assert LossConfig(hint_reverse=True).hint_reverse is True
+
     def test_variant_name_validation(self):
         with pytest.raises(UsageError):
             LossConfig(kl_variant="gauss")

@@ -43,6 +43,39 @@ class TestStudentTrainConfig:
             with pytest.raises(UsageError, match="lr must be"):
                 quick_cfg(lr=bad)
 
+    def test_epochs_and_batch_must_be_integers(self):
+        for name, label in (("epochs", "epochs"), ("batch_size", "batch size")):
+            for bad in (2.5, True, np.True_, "2", None, float("nan"), float("inf")):
+                with pytest.raises(UsageError, match=f"{label} {bad!r} is not an integer"):
+                    quick_cfg(**{name: bad})
+        cfg = quick_cfg(epochs=3.0, batch_size=np.int64(16))
+        assert (cfg.epochs, cfg.batch_size) == (3, 16)
+        assert type(cfg.epochs) is int and type(cfg.batch_size) is int
+
+    def test_lr_must_not_be_a_bool(self):
+        for bad in (True, np.True_):
+            with pytest.raises(UsageError, match="lr must be a finite number > 0, got True"):
+                quick_cfg(lr=bad)
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+            quick_cfg(seed=-1)
+        for bad in (1.5, True, "0", None):
+            with pytest.raises(UsageError, match=f"seed {bad!r} is not an integer"):
+                quick_cfg(seed=bad)
+        cfg = quick_cfg(seed=4.0)
+        assert cfg.seed == 4 and type(cfg.seed) is int
+
+    def test_activation_must_be_known(self):
+        with pytest.raises(UsageError, match="unknown activation 'tanh'; expected one of relu, sigmoid"):
+            quick_cfg(activation="tanh")
+        assert quick_cfg(activation="sigmoid").activation == "sigmoid"
+
+    def test_log_sigma2_init_must_be_finite(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(UsageError, match=f"log_sigma2_init must be a finite number, got {bad}"):
+                quick_cfg(log_sigma2_init=bad)
+
     def test_tau_must_not_be_nan(self):
         with pytest.raises(UsageError, match="tau"):
             quick_cfg(tau=float("nan"))

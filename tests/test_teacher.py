@@ -145,6 +145,26 @@ class TestTeacherConfig:
             with pytest.raises(UsageError, match="lr must be"):
                 TeacherConfig(lr=bad)
 
+    def test_schedule_must_be_integers(self):
+        with pytest.raises(UsageError, match="epochs True is not an integer"):
+            TeacherConfig(epochs=True, batch_size=True)
+        with pytest.raises(UsageError, match="batch size 1.5 is not an integer"):
+            TeacherConfig(batch_size=1.5)
+        with pytest.raises(UsageError, match="lr must be a finite number > 0, got True"):
+            TeacherConfig(lr=True)
+        cfg = TeacherConfig(epochs=2.0, batch_size=8.0, seed=3.0)
+        assert [type(v) for v in (cfg.epochs, cfg.batch_size, cfg.seed)] == [int] * 3
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+            TeacherConfig(seed=-1)
+        with pytest.raises(UsageError, match="seed 1.5 is not an integer"):
+            TeacherConfig(seed=1.5)
+
+    def test_activation_must_be_known(self):
+        with pytest.raises(UsageError, match="unknown activation 'tanh'"):
+            TeacherConfig(activation="tanh")
+
     def test_arch_is_parsed_where_it_enters(self):
         with pytest.raises(FormatError, match="width True is not an integer"):
             TeacherConfig(arch=[6, True, 3])

@@ -49,6 +49,16 @@ class TestRngStream:
             assert a.shape == (3, 7)
             np.testing.assert_array_equal(a, RngStream(seed).normal(3, 7))
 
+    @pytest.mark.parametrize("seed, path", [(0, ()), (7, (5, 0, 3)), (2**40 + 9, (1,)),
+                                            (123, (5, 2, 17, 1))])
+    @pytest.mark.parametrize("rows, cols", [(4, 6), (3, 5), (1, 9), (0, 4)])
+    def test_normal_is_the_keyed_philox_standard_normal(self, seed, path, rows, cols):
+        ss = np.random.SeedSequence(seed, spawn_key=path)
+        expected = np.random.Generator(np.random.Philox(ss)).standard_normal((rows, cols))
+        z = RngStream(seed, path).normal(rows, cols)
+        assert z.shape == (rows, cols) and z.dtype == np.float64
+        np.testing.assert_array_equal(z, expected)
+
     def test_permutation_is_permutation(self):
         p = RngStream(13).permutation(50)
         np.testing.assert_array_equal(np.sort(p), np.arange(50))
