@@ -48,8 +48,8 @@ print(f"teacher test error on the full problem: {100 * recs[-1]['test_error']:.2
 # ---------------------------------------------------------------------------
 # 3. The sweep.  For each (size, seed) pair a stratified subset is drawn
 #    once and two students train on it from the same initialisation: one
-#    with the configured loss, one with the hint weight forced to zero.
-#    Both still see the same rows; only the teacher's voice differs.
+#    with the configured loss, one teacher-free (no teacher logits or
+#    weights).  Both see the same rows; only the teacher's voice differs.
 # ---------------------------------------------------------------------------
 
 loss_cfg = resolve_variant("kd", LossConfig(temperature=2.0, lambda_t=2.0))

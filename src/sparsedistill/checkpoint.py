@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConsistencyError, FormatError, LengthError
+from .errors import ConsistencyError, FormatError, LengthError, as_choice, as_int, as_real
 from .tensor import ACTIVATIONS
 
 __all__ = ["parse_arch", "read_manifest", "digest", "write_artifact", "read_artifact"]
@@ -39,26 +39,17 @@ _FIELDS = {
 }
 
 
-def as_int(value, what: str, error=FormatError) -> int:
-    """``value`` as an int; a bool, or a value that ``int`` refuses or changes, raises ``error``."""
-    try:
-        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{what} {value!r} is not an integer")
-
-
 def parse_arch(spec) -> list[int]:
     """Parse a dash-separated width string like ``"784-500-50-10"``, or a list of widths."""
     if isinstance(spec, str):
-        parts = spec.split("-")
-        if any(not p.strip().isdecimal() for p in parts):
+        if any(not p.strip().isdecimal() for p in spec.split("-")):
             raise FormatError(f"malformed architecture string {spec!r}")
-        widths = [int(p) for p in parts]
-    else:
-        widths = [as_int(w, "architecture width") for w in spec]
-    if len(widths) < 2 or any(w < 1 for w in widths):
+        spec = [int(p) for p in spec.split("-")]
+    try:
+        widths = [as_int(w, "architecture width", 1, FormatError) for w in spec]
+    except TypeError:  # not iterable
+        raise FormatError(f"architecture {spec!r} is not a list of widths") from None
+    if len(widths) < 2:
         raise FormatError(f"architecture needs >= 2 positive widths, got {widths}")
     return widths
 
@@ -110,28 +101,13 @@ def write_artifact(base_path, kind: str, fields: dict, arrays) -> str:
 
 
 def _count(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise ValueError("must not be negative")
-    return n
+    return as_int(int(text), "count", 0, FormatError)
 
 
-def _number(text: str) -> float:
-    x = float(text)
-    if math.isnan(x):
-        raise ValueError("must be a number")
-    return x
-
-
-def _activation(text: str) -> str:
-    if text not in ACTIVATIONS:
-        raise ValueError(f"expected one of {', '.join(ACTIVATIONS)}")
-    return text
-
-
-_PARSERS = {"architecture": parse_arch, "activation": _activation, "seed": _count,
-            "tau": _number, "rows": _count, "cols": _count, "teacher_digest": str,
-            "digest": str}
+_PARSERS = {"architecture": parse_arch, "seed": _count, "rows": _count, "cols": _count,
+            "activation": lambda text: as_choice(text, "activation", ACTIVATIONS, FormatError),
+            "tau": lambda text: as_real(float(text), "tau", inf=True, error=FormatError),
+            "teacher_digest": str, "digest": str}
 _DEFAULTS = {"activation": "relu", "seed": None, "tau": None}  # when absent or empty
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .checkpoint import parse_arch, read_manifest
 from .data import load_idx
-from .errors import FormatError, UsageError
+from .errors import FormatError, UsageError, as_choice, as_int
 from .losses import LossConfig, VARIANTS, resolve_variant
 from .metrics import REPORT_FORMATS, emit_report, json_line, to_json
 from .optim import (StudentTrainConfig, lowdata_sweep, report_student, summarize_sweep,
@@ -38,20 +38,14 @@ def _arch(text: str) -> str:
 
 
 def _sizes(text: str) -> list[int]:
-    try:
-        out = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise UsageError(f"bad size list {text!r}; expected comma-separated integers")
-    if not out or any(s < 1 for s in out):
-        raise UsageError(f"sizes must be positive integers, got {text!r}")
+    out = [as_int(int(p), "size", 1) for p in text.split(",") if p.strip()]
+    if not out:
+        raise UsageError(f"no sizes in {text!r}")
     return out
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise UsageError(f"seeds must be non-negative integers, got {seed}")
-    return seed
+    return as_int(int(text), "seed", 0)
 
 
 def _seeds(text: str) -> list[int]:
@@ -61,13 +55,7 @@ def _seeds(text: str) -> list[int]:
         if len(set(seeds)) != len(seeds):
             raise UsageError(f"seed list {text!r} repeats a seed")
         return seeds
-    try:
-        n = int(text)
-    except ValueError:
-        raise UsageError(f"bad seed spec {text!r}")
-    if n < 1:
-        raise UsageError(f"need at least one seed, got {n}")
-    return list(range(n))
+    return list(range(as_int(int(text), "seed count", 1)))
 
 
 def _lambda_v(text: str) -> float | None:
@@ -77,11 +65,7 @@ def _lambda_v(text: str) -> float | None:
 
 
 def _choice(name, options):
-    def convert(text: str):
-        if text not in options:
-            raise UsageError(f"bad {name} {text!r}; expected one of {', '.join(options)}")
-        return text
-    return convert
+    return lambda text: as_choice(text, name, options)
 
 
 def _bool(text: str) -> bool:
@@ -332,8 +316,7 @@ def cmd_train_student(v: Resolved) -> int:
 
 
 def cmd_evaluate(v: Resolved) -> int:
-    if v("batch") < 1:
-        raise UsageError(f"batch size must be at least 1, got {v('batch')}")
+    as_int(v("batch"), "batch size", 1)
     net, _ = load_student(_require_file(v("student"), "student checkpoint"))
     test_ds = _load_pair(v, "test", required=True)
     teacher_net = None
@@ -369,9 +352,9 @@ def cmd_lowdata(v: Resolved) -> int:
     out = Path(v("out"))
     _write_json(out / "sweep.json", {"rows": rows, "summary": summary, "config": resolved})
     for s in summary:
-        label = "with hint" if s["hint"] else "no hint  "
+        label = "with hint   " if s["hint"] else "teacher-free"
         print(f"n={s['size']:>6} {label} error {s['mean_test_error_pct']:.2f}% "
-              f"+/- {s['std_test_error_pct']:.2f} over {s['n']} seeds")
+              f"+/- {s['std_test_error_pct']:.2f}, R_s {s['mean_r_s']:.2f} over {s['n']} seeds")
     print(f"wrote {out / 'sweep.json'}")
     return 0
 
@@ -398,7 +381,7 @@ _COMMANDS = {
     "evaluate": (cmd_evaluate, "score a student checkpoint at a pruning threshold",
                  ("test_images", "test_labels", "config", "out", "student", "teacher"),
                  {"tau": "3", "format": "json", "time": "false", "batch": "100"}),
-    "lowdata": (cmd_lowdata, "sweep training-set sizes with and without the hint",
+    "lowdata": (cmd_lowdata, "sweep training-set sizes, distilled against teacher-free",
                 (*_INPUTS, "teacher", "cache"),
                 {**{k: d for k, d in _STUDENT.items() if k not in ("seed", "format")},
                  "epochs": "30", "out": "runs/lowdata",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, FormatError, LengthError
+from .errors import ConsistencyError, DomainError, FormatError, LengthError, as_int
 from .tensor import RngStream
 
 IMAGES_MAGIC = 0x00000803
@@ -129,8 +129,8 @@ def subset_indices(ds: Dataset, n: int, seed: int) -> np.ndarray:
     largest remainder so they sum to exactly ``n``.  Deterministic for a
     given seed.
     """
-    total = len(ds)
-    if not 1 <= n <= total:
+    n, total = as_int(n, "subset size", 1, DomainError), len(ds)
+    if n > total:
         raise DomainError(f"subset size {n} out of range [1, {total}]")
     classes = np.unique(ds.labels)
     counts = np.array([(ds.labels == c).sum() for c in classes], dtype=np.int64)
@@ -158,8 +158,7 @@ def batch_iter(ds: Dataset, batch_size: int, shuffle_seed=None):
     With ``shuffle_seed=None`` batches follow stored order; otherwise the
     order is a deterministic permutation of the seed.
     """
-    if batch_size < 1:
-        raise DomainError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = as_int(batch_size, "batch_size", 1, DomainError)
     n = len(ds)
     if shuffle_seed is None:
         indices = np.arange(n)

@@ -26,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .autograd import Tensor
-from .checkpoint import as_int
-from .errors import DomainError, ShapeError, UsageError
+from .errors import DomainError, ShapeError, UsageError, as_choice, as_int, as_real
 from .student import kl_svd_node, kl_vbd_node, student_logits_node
 
 __all__ = [
@@ -58,26 +57,19 @@ class LossConfig:
     hint_reverse: bool = False
 
     def __post_init__(self):
-        if not (self.temperature > 0 and np.isfinite(self.temperature)):
-            rule = "finite" if self.temperature > 0 else "positive"
-            raise UsageError(f"temperature must be {rule}, got {self.temperature}")
-        self.warmup_epochs = as_int(self.warmup_epochs, "warmup_epochs", UsageError)
-        if self.warmup_epochs < 0:
-            raise UsageError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
-        if not isinstance(self.hint_reverse, bool):
-            raise UsageError(f"hint_reverse must be True or False, got {self.hint_reverse!r}")
-        for name in ("lambda_t", "lambda_g", "lambda_v_max"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value >= 0):
-                raise UsageError(f"{name} must be a finite number >= 0, got {value}")
-        if self.kl_variant not in (None, "svd", "vbd"):
-            raise UsageError(f"unknown kl variant {self.kl_variant!r}")
-        if self.bsr_variant not in (None, "l1lq", "l1linf"):
-            raise UsageError(f"unknown group-norm variant {self.bsr_variant!r}")
-        # a NaN q is refused even when unused: the run's config.json records it
-        bad_q = not (np.isfinite(self.q) and self.q >= 1)
-        if np.isnan(self.q) or (self.bsr_variant == "l1lq" and bad_q):
-            raise UsageError(f"q must be a finite number >= 1, got {self.q}")
+        self.temperature = as_real(self.temperature, "temperature", 0, strict=True)
+        self.lambda_t = as_real(self.lambda_t, "lambda_t", 0)
+        if self.lambda_v_max is not None:
+            self.lambda_v_max = as_real(self.lambda_v_max, "lambda_v_max", 0)
+        self.lambda_g = as_real(self.lambda_g, "lambda_g", 0)
+        self.kl_variant = as_choice(self.kl_variant, "kl variant", (None, "svd", "vbd"))
+        self.bsr_variant = as_choice(self.bsr_variant, "group-norm variant",
+                                     (None, "l1lq", "l1linf"))
+        # checked even when unused, since the run's config.json records it
+        l1lq = self.bsr_variant == "l1lq"
+        self.q = as_real(self.q, "q", 1 if l1lq else None, inf=not l1lq)
+        self.warmup_epochs = as_int(self.warmup_epochs, "warmup_epochs", 0)
+        self.hint_reverse = as_choice(self.hint_reverse, "hint_reverse", (False, True))
 
 
 def resolve_variant(variant: str, base: LossConfig | None = None,
@@ -89,8 +81,7 @@ def resolve_variant(variant: str, base: LossConfig | None = None,
     weight is ``lambda_g``, else a positive ``base.lambda_g``, else 0.01.
     """
     cfg = base if base is not None else LossConfig()
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}")
+    as_choice(variant, "variant", VARIANTS)
     kl = None if variant in ("simple", "kd") else ("svd" if variant.endswith("svd") else "vbd")
     cfg = replace(cfg, kl_variant=kl, lambda_t=0.0 if variant == "simple" else cfg.lambda_t)
     if variant.startswith("st-") and cfg.bsr_variant is None:
@@ -155,8 +146,7 @@ def hint_node(student_logits: Tensor, teacher_logits: np.ndarray,
     swaps the roles.  The gradient is ``g * 2T/N`` times
     ``p * (log p - log q - KL_row)``, or ``p - q`` when ``reverse``.
     """
-    if temperature <= 0:
-        raise DomainError(f"temperature must be positive, got {temperature}")
+    temperature = as_real(temperature, "temperature", 0, strict=True, error=DomainError)
     zs = student_logits.data / temperature
     zt = np.asarray(teacher_logits, dtype=np.float64) / temperature
     if zs.shape != zt.shape:
@@ -200,21 +190,19 @@ class BsrContext:
 
 
 def make_bsr_context(teacher_weights, student_shapes, variant: str, q: float = 2.0) -> BsrContext:
+    as_choice(variant, "group-norm variant", ("l1lq", "l1linf"))
     teacher_weights = [np.asarray(w, dtype=np.float64) for w in teacher_weights]
     heights = [w.shape[0] for w in teacher_weights] + [s[0] for s in student_shapes]
     m = max(heights)
     agg = np.zeros(m)
     if variant == "l1lq":
-        if not (np.isfinite(q) and q >= 1):
-            raise DomainError(f"q must be a finite number >= 1, got {q}")
+        q = as_real(q, "q", 1, error=DomainError)
         for w in teacher_weights:
             agg[:w.shape[0]] += (np.abs(w) ** q).sum(axis=1)
-    elif variant == "l1linf":
+    else:
         for w in teacher_weights:
             k = w.shape[0]
             agg[:k] = np.maximum(agg[:k], np.abs(w).max(axis=1))
-    else:
-        raise UsageError(f"unknown group-norm variant {variant!r}")
     return BsrContext(variant=variant, q=q, m=m, teacher_row_agg=agg)
 
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, as_choice
 
 __all__ = [
     "top1_error", "sparsity_ratio", "per_layer_sparsity_pct",
@@ -182,8 +182,7 @@ def emit_report(reports, fmt: str = "json") -> str:
     rows = [asdict(r) for r in reports]
     if not rows:
         raise UsageError("no report rows to emit")
-    if fmt not in REPORT_FORMATS:
-        raise UsageError(f"unknown report format {fmt!r}; expected one of {', '.join(REPORT_FORMATS)}")
+    as_choice(fmt, "report format", REPORT_FORMATS)
 
     if fmt == "json":
         return to_json(rows, indent=2)

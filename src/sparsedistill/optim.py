@@ -15,9 +15,9 @@ from time import perf_counter
 import numpy as np
 
 from .autograd import Tensor
-from .checkpoint import as_int, parse_arch
+from .checkpoint import parse_arch
 from .data import Dataset, batch_iter, subset_indices
-from .errors import ConsistencyError, TrainingError, UsageError
+from .errors import ConsistencyError, TrainingError, UsageError, as_choice, as_int, as_real
 from .losses import BsrContext, LossConfig, make_bsr_context, total_loss
 from .metrics import (SparsityReport, compression_ratio, footprint, inference_time, json_line,
                       per_layer_sparsity_pct, remaining_parameters, sparsity_ratio, top1_error)
@@ -85,30 +85,19 @@ class StudentTrainConfig:
     def __post_init__(self):
         self.arch = parse_arch(self.arch)
         check_schedule(self)
-        if not np.isfinite(self.log_sigma2_init):
-            raise UsageError(f"log_sigma2_init must be a finite number, got {self.log_sigma2_init}")
-        if np.isnan(self.tau):
-            raise UsageError(f"tau must be a number, got {self.tau}")
-        if self.grad_clip is not None and not (np.isfinite(self.grad_clip) and self.grad_clip > 0):
-            raise UsageError(f"grad clip must be a finite number > 0, got {self.grad_clip}")
+        self.tau = as_real(self.tau, "tau", inf=True)
+        self.log_sigma2_init = as_real(self.log_sigma2_init, "log_sigma2_init")
+        if self.grad_clip is not None:
+            self.grad_clip = as_real(self.grad_clip, "grad clip", 0, strict=True)
 
 
 def check_schedule(cfg) -> None:
-    """Check the fields both networks' configs share, storing epochs, batch size and seed as ints."""
-    cfg.epochs = as_int(cfg.epochs, "epochs", UsageError)
-    cfg.batch_size = as_int(cfg.batch_size, "batch size", UsageError)
-    cfg.seed = as_int(cfg.seed, "seed", UsageError)
-    if cfg.epochs < 1:
-        raise UsageError(f"epochs must be at least 1, got {cfg.epochs}")
-    if cfg.batch_size < 1:
-        raise UsageError(f"batch size must be at least 1, got {cfg.batch_size}")
-    if isinstance(cfg.lr, (bool, np.bool_)) or not (np.isfinite(cfg.lr) and cfg.lr > 0):
-        raise UsageError(f"lr must be a finite number > 0, got {cfg.lr}")
-    if cfg.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.activation not in ACTIVATIONS:
-        raise UsageError(f"unknown activation {cfg.activation!r}; "
-                         f"expected one of {', '.join(ACTIVATIONS)}")
+    """Check the fields both networks' configs share, storing each in its canonical type."""
+    cfg.epochs = as_int(cfg.epochs, "epochs", 1)
+    cfg.batch_size = as_int(cfg.batch_size, "batch size", 1)
+    cfg.lr = as_real(cfg.lr, "lr", 0, strict=True)
+    cfg.seed = as_int(cfg.seed, "seed", 0)
+    cfg.activation = as_choice(cfg.activation, "activation", ACTIVATIONS)
 
 
 def _clip_global_norm(params, max_norm: float):
@@ -211,11 +200,10 @@ def evaluate_student(net: StudentNet, ds: Dataset | None, tau: float) -> dict:
 
 def _score(net: StudentNet, ds: Dataset | None, tau: float):
     """``(metrics, masks, forward)``: ``forward(x)`` runs the compacted layers; None without ``ds``."""
-    if np.isnan(tau):
-        raise UsageError(f"tau must be a number, got {tau}")
+    tau = as_real(tau, "tau", inf=True)
     masks = prune_masks(net, tau)
     out = {"per_layer_sparsity": per_layer_sparsity_pct(masks), "r_s": sparsity_ratio(masks),
-           "tau": float(tau)}
+           "tau": tau}
     if ds is None:
         return out, masks, None
     weights, biases, cols = compact(net, masks)
@@ -232,7 +220,7 @@ def report_student(net: StudentNet, tau: float, test_ds: Dataset, *, teacher=Non
     """The student's report row at ``tau``, pruned and compacted once.  Its baseline is the
     dense ``teacher`` (a :class:`.teacher.DenseMLP`), else the unpruned student;
     ``timed_batch`` times the forward pass over that many test rows into ``inference_ms``."""
-    if timed_batch is not None and not 1 <= timed_batch <= len(test_ds):
+    if timed_batch is not None and as_int(timed_batch, "batch size", 1) > len(test_ds):
         raise UsageError(f"batch size {timed_batch} is outside the {len(test_ds)} rows of the test set")
     scored, masks, forward = _score(net, test_ds, tau)
     biases = [l.bias for l in net.layers]
@@ -260,23 +248,26 @@ def report_student(net: StudentNet, tau: float, test_ds: Dataset, *, teacher=Non
 def lowdata_sweep(train_ds: Dataset, test_ds: Dataset, teacher_logits: np.ndarray,
                   loss_cfg: LossConfig, cfg: StudentTrainConfig,
                   sizes, seeds, *, teacher_weights=None) -> list[dict]:
-    """Train hint-on and hint-off students per (subset size, seed) pair.
+    """Train a distilled and a teacher-free student per (subset size, seed) pair.
 
     Subsets are stratified, so every class keeps its share even at small
     sizes.  The KL weight ceiling tracks the subset size whenever
     ``loss_cfg.lambda_v_max`` is None.  Two rows come out of every pair:
-    one trained with the configured hint weight, one with it zeroed.
+    ``hint`` True trained with ``loss_cfg``, and ``hint`` False with the hint
+    and group weights zeroed and no teacher logits or weights, the
+    teacher-free Bayesian baseline.
     """
     results = []
-    off_cfg = replace(loss_cfg, lambda_t=0.0)
+    off_cfg = replace(loss_cfg, lambda_t=0.0, lambda_g=0.0)
     for size in sizes:
         for seed in seeds:
             idx = subset_indices(train_ds, size, seed)
             sub = train_ds.take(idx)
             run_cfg = StudentTrainConfig(**{**asdict(cfg), "seed": seed})
-            for hint, lcfg in ((True, loss_cfg), (False, off_cfg)):
-                net, _ = train_student(sub, teacher_logits[idx], lcfg, run_cfg,
-                                       teacher_weights=teacher_weights, test_ds=None)
+            arms = ((True, loss_cfg, teacher_logits[idx], teacher_weights),
+                    (False, off_cfg, None, None))
+            for hint, lcfg, logits, weights in arms:
+                net, _ = train_student(sub, logits, lcfg, run_cfg, teacher_weights=weights)
                 scored = evaluate_student(net, test_ds, cfg.tau)
                 results.append({"size": int(size), "seed": int(seed), "hint": hint,
                                 "test_error_pct": scored["test_error_pct"],
@@ -285,13 +276,15 @@ def lowdata_sweep(train_ds: Dataset, test_ds: Dataset, teacher_logits: np.ndarra
 
 
 def summarize_sweep(rows: list[dict]) -> list[dict]:
-    """Mean and population standard deviation of error per (size, hint) group."""
-    groups: dict[tuple, list[float]] = {}
+    """Mean and population standard deviation of error, and mean ``r_s``, per (size, hint) group."""
+    groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        groups.setdefault((row["size"], row["hint"]), []).append(row["test_error_pct"])
+        groups.setdefault((row["size"], row["hint"]), []).append(row)
     out = []
-    for (size, hint), errs in sorted(groups.items()):
+    for (size, hint), members in sorted(groups.items()):
+        errs = [r["test_error_pct"] for r in members]
         out.append({"size": size, "hint": hint, "n": len(errs),
                     "mean_test_error_pct": float(np.mean(errs)),
-                    "std_test_error_pct": float(np.std(errs))})
+                    "std_test_error_pct": float(np.std(errs)),
+                    "mean_r_s": float(np.mean([r["r_s"] for r in members]))})
     return out

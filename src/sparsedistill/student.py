@@ -21,7 +21,7 @@ import numpy as np
 from . import checkpoint
 from .autograd import Tensor
 from .errors import ConsistencyError
-from .tensor import ELEMENT_BLOCK, dense_forward
+from .tensor import ELEMENT_BLOCK, check_layers, dense_forward
 
 __all__ = [
     "K1", "K2", "K3", "LOG_ALPHA_CLAMP",
@@ -73,12 +73,7 @@ class StudentNet:
     seed: int | None = None
 
     def __post_init__(self):
-        for i in range(len(self.layers) - 1):
-            if self.layers[i].shape[1] != self.layers[i + 1].shape[0]:
-                raise ConsistencyError(
-                    f"layer {i} output {self.layers[i].shape[1]} != "
-                    f"layer {i + 1} input {self.layers[i + 1].shape[0]}"
-                )
+        check_layers([l.theta for l in self.layers], [l.bias for l in self.layers])
 
     @property
     def arch(self) -> list[int]:

@@ -19,12 +19,12 @@ import numpy as np
 from . import checkpoint
 from .autograd import Tensor
 from .checkpoint import parse_arch
-from .errors import ConsistencyError, StalenessError, TrainingError
+from .errors import StalenessError, TrainingError
 from .data import Dataset, batch_iter
 from .losses import cross_entropy_node
 from .metrics import top1_error
 from .optim import Adam, check_schedule
-from .tensor import RngStream, dense_forward
+from .tensor import RngStream, check_layers, dense_forward
 
 __all__ = [
     "DenseMLP",
@@ -53,15 +53,7 @@ class DenseMLP:
     seed: int | None = None
 
     def __post_init__(self):
-        for i in range(len(self.weights) - 1):
-            if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
-                raise ConsistencyError(
-                    f"layer {i} output {self.weights[i].shape[1]} != "
-                    f"layer {i + 1} input {self.weights[i + 1].shape[0]}"
-                )
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape[1] != b.shape[0]:
-                raise ConsistencyError(f"layer {i} bias length {b.shape[0]} != width {w.shape[1]}")
+        check_layers(self.weights, self.biases)
 
     @property
     def arch(self) -> list[int]:

@@ -2,17 +2,17 @@
 
 All stochastic behaviour flows through :class:`RngStream`, a splittable
 counter-based generator, so results are reproducible bit-for-bit from a
-seed.  :data:`ACTIVATIONS` names the hidden nonlinearities, and :func:`dense_forward`
-runs dense layers in row blocks, for the teacher and the student alike.
+seed.  :data:`ACTIVATIONS` names the hidden nonlinearities; :func:`check_layers` and
+:func:`dense_forward` check and run a stack of dense layers, for the teacher and the student alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConsistencyError, ShapeError
 
-__all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS", "dense_forward"]
+__all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS", "check_layers", "dense_forward"]
 
 _FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB
 # elements per block of the flat elementwise loops (Adam's update, the KL penalty): a block's
@@ -68,6 +68,20 @@ def relu(x) -> np.ndarray:
 
 
 ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid}
+
+
+def check_layers(weights, biases) -> None:
+    """Raise :class:`ConsistencyError` unless there is at least one layer, one bias per weight
+    matrix, and each layer's width equals its bias length and the next layer's input width."""
+    if not weights or len(weights) != len(biases):
+        raise ConsistencyError(f"{len(weights)} weight matrices and {len(biases)} bias vectors: "
+                               "a network needs at least one layer, and one bias per layer")
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.shape[1] != b.shape[0]:
+            raise ConsistencyError(f"layer {i} bias length {b.shape[0]} != width {w.shape[1]}")
+        if i + 1 < len(weights) and w.shape[1] != weights[i + 1].shape[0]:
+            raise ConsistencyError(f"layer {i} output {w.shape[1]} != "
+                                   f"layer {i + 1} input {weights[i + 1].shape[0]}")
 
 
 def dense_forward(x, weights, biases, activation: str, cols=None) -> np.ndarray:

@@ -151,6 +151,12 @@ class TestSubset:
         with pytest.raises(DomainError):
             subset_indices(ds, 11, seed=0)
 
+    def test_size_must_be_an_integer(self):
+        ds = make_blobs(10, 4, 2, seed=5)
+        for n in (2.5, True):
+            with pytest.raises(DomainError, match=f"subset size {n!r} is not an integer"):
+                subset_indices(ds, n, seed=0)
+
 
 class TestBatchIter:
     def test_covers_every_index_once(self):
@@ -185,3 +191,9 @@ class TestBatchIter:
         ds = make_blobs(10, 4, 2, seed=11)
         with pytest.raises(DomainError):
             list(batch_iter(ds, 0))
+
+    def test_batch_size_must_be_an_integer(self):
+        ds = make_blobs(10, 4, 2, seed=11)
+        for batch_size in (True, 2.5):
+            with pytest.raises(DomainError, match=f"batch_size {batch_size!r} is not an integer"):
+                list(batch_iter(ds, batch_size))

@@ -97,7 +97,7 @@ class TestLossConfig:
 
     def test_hint_reverse_must_be_a_bool(self):
         for bad in ("no", "false", 0, 1, None):
-            with pytest.raises(UsageError, match=f"hint_reverse must be True or False, got {bad!r}"):
+            with pytest.raises(UsageError, match=f"unknown hint_reverse {bad!r}; expected one of"):
                 LossConfig(hint_reverse=bad)
         assert LossConfig(hint_reverse=True).hint_reverse is True
 
@@ -315,6 +315,11 @@ class TestHint:
         with pytest.raises(ShapeError):
             hint_node(Tensor(np.zeros((1, 2))), np.zeros((1, 3)), temperature=1.0)
 
+    def test_temperature_must_be_a_finite_real_number(self):
+        for temperature in (float("nan"), float("inf"), "2"):
+            with pytest.raises(DomainError, match=f"temperature must be .*, got {temperature!r}"):
+                hint_node(Tensor(np.zeros((1, 2))), np.zeros((1, 2)), temperature)
+
     def test_node_gradcheck_both_directions(self):
         rng = np.random.default_rng(10)
         zt = rng.normal(size=(4, 5)) * 2
@@ -450,6 +455,12 @@ class TestBsrGraph:
             make_bsr_context(teacher, [s.shape for s in student], "l1lq", q=0.0)
         with pytest.raises(UsageError):
             make_bsr_context(teacher, [s.shape for s in student], "super")
+
+    def test_context_q_must_be_a_real_number(self):
+        teacher, student = self.make_sets(0)
+        for q in (True, "2"):
+            with pytest.raises(DomainError, match=f"q must be a real number, got {q!r}"):
+                make_bsr_context(teacher, [s.shape for s in student], "l1lq", q=q)
 
     def test_teacher_aggregates_not_mutated(self):
         teacher, student = self.make_sets(1)

@@ -111,6 +111,10 @@ class TestInitStudent:
         with pytest.raises(ConsistencyError):
             StudentNet([good, layer_fixture()])  # 2 outputs feeding 3 inputs
 
+    def test_net_needs_a_layer(self):
+        with pytest.raises(ConsistencyError, match="0 weight matrices and 0 bias vectors"):
+            StudentNet([])
+
 
 class TestAlphaLog:
     def test_matches_hand_formula(self):

@@ -134,12 +134,20 @@ class TestInitAndForward:
         with pytest.raises(ConsistencyError):
             DenseMLP([np.zeros((4, 3))], [np.zeros(2)])
 
+    def test_mlp_needs_one_bias_per_layer_and_a_layer(self):
+        for weights, biases in (([np.ones((4, 3)), np.ones((3, 2))], [np.zeros(3)]),
+                                ([np.ones((4, 3))], [np.zeros(3), np.zeros(2)]),
+                                ([], [])):
+            with pytest.raises(ConsistencyError, match=f"{len(weights)} weight matrices and "
+                                                       f"{len(biases)} bias vectors"):
+                DenseMLP(weights, biases)
+
 
 class TestTeacherConfig:
     def test_schedule_validation(self):
-        with pytest.raises(UsageError, match="epochs must be at least 1, got 0"):
+        with pytest.raises(UsageError, match="epochs must be >= 1, got 0"):
             TeacherConfig(epochs=0)
-        with pytest.raises(UsageError, match="batch size must be at least 1, got 0"):
+        with pytest.raises(UsageError, match="batch size must be >= 1, got 0"):
             TeacherConfig(batch_size=0)
         for bad in (-1.0, 0.0, float("nan")):
             with pytest.raises(UsageError, match="lr must be"):
@@ -150,7 +158,7 @@ class TestTeacherConfig:
             TeacherConfig(epochs=True, batch_size=True)
         with pytest.raises(UsageError, match="batch size 1.5 is not an integer"):
             TeacherConfig(batch_size=1.5)
-        with pytest.raises(UsageError, match="lr must be a finite number > 0, got True"):
+        with pytest.raises(UsageError, match="lr must be a real number, got True"):
             TeacherConfig(lr=True)
         cfg = TeacherConfig(epochs=2.0, batch_size=8.0, seed=3.0)
         assert [type(v) for v in (cfg.epochs, cfg.batch_size, cfg.seed)] == [int] * 3
