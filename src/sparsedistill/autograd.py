@@ -51,10 +51,15 @@ class Tensor:
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, fresh: bool = False):
+        """Add ``g`` to the gradient.  The first ``g`` is copied unless ``fresh`` says the caller
+        made it for this leaf alone: ``+`` hands one ``g`` to both operands, and clipping scales
+        gradients in place."""
         if self.grad is not None:
             self.grad += g
-        else:  # a copy: ``+`` hands one ``g`` to both operands, and clipping scales in place
+        elif fresh and isinstance(g, np.ndarray):  # a numpy scalar could not be scaled in place
+            self.grad = g
+        else:
             self.grad = np.array(g, dtype=np.float64)
 
     def _grad_buffer(self) -> np.ndarray:
@@ -115,9 +120,9 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape), fresh=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape), fresh=True)
 
         return Tensor(self.data * other.data, req, (self, other), back if req else None)
 
@@ -129,9 +134,9 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(g @ other.data.T, fresh=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate(self.data.T @ g, fresh=True)
 
         return Tensor(self.data @ other.data, req, (self, other), back if req else None)
 
@@ -141,7 +146,7 @@ class Tensor:
         req = self.requires_grad
 
         def back(g):
-            self._accumulate(g * (self.data > 0))
+            self._accumulate(g * (self.data > 0), fresh=True)
 
         return Tensor(np.maximum(self.data, 0.0), req, (self,), back if req else None)
 
@@ -150,7 +155,7 @@ class Tensor:
         req = self.requires_grad
 
         def back(g):
-            self._accumulate(g * out_data * (1.0 - out_data))
+            self._accumulate(g * out_data * (1.0 - out_data), fresh=True)
 
         return Tensor(out_data, req, (self,), back if req else None)
 

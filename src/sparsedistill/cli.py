@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .checkpoint import parse_arch, read_manifest
 from .data import load_idx
-from .errors import FormatError, UsageError, as_choice, as_int
+from .errors import FormatError, UsageError, as_choice, as_distinct, as_int
 from .losses import LossConfig, VARIANTS, resolve_variant
 from .metrics import REPORT_FORMATS, emit_report, json_line, to_json
 from .optim import (StudentTrainConfig, lowdata_sweep, report_student, summarize_sweep,
@@ -41,7 +41,7 @@ def _sizes(text: str) -> list[int]:
     out = [as_int(int(p), "size", 1) for p in text.split(",") if p.strip()]
     if not out:
         raise UsageError(f"no sizes in {text!r}")
-    return out
+    return as_distinct(out, "size", text)
 
 
 def _seed(text: str) -> int:
@@ -51,10 +51,7 @@ def _seed(text: str) -> int:
 def _seeds(text: str) -> list[int]:
     """A bare integer N means seeds 0..N-1; a comma list of distinct seeds is used as given."""
     if "," in text:
-        seeds = [_seed(p) for p in text.split(",") if p.strip()]
-        if len(set(seeds)) != len(seeds):
-            raise UsageError(f"seed list {text!r} repeats a seed")
-        return seeds
+        return as_distinct([_seed(p) for p in text.split(",") if p.strip()], "seed", text)
     return list(range(as_int(int(text), "seed count", 1)))
 
 

@@ -97,3 +97,12 @@ def as_choice(value, what: str, options, error=UsageError):
     if not any(isinstance(value, type(o)) and value == o for o in options):
         raise error(f"unknown {what} {value!r}; expected one of {', '.join(map(str, options))}")
     return value
+
+
+def as_distinct(values, what: str, shown=None, error=UsageError) -> list:
+    """``values`` as a list if none repeats; a repeat raises ``error`` naming ``shown`` (the
+    values as the caller wrote them; the list itself by default)."""
+    values = list(values)
+    if len(set(values)) != len(values):
+        raise error(f"{what} list {(values if shown is None else shown)!r} repeats a {what}")
+    return values

@@ -131,7 +131,7 @@ def cross_entropy_node(logits: Tensor, labels) -> Tensor:
         d = np.exp(logp)
         d[np.arange(len(labels)), labels] -= 1.0
         d *= g / max(len(labels), 1)
-        logits._accumulate(d)
+        logits._accumulate(d, fresh=True)
 
     req = logits.requires_grad
     return Tensor(value, req, (logits,), back if req else None)
@@ -165,7 +165,7 @@ def hint_node(student_logits: Tensor, teacher_logits: np.ndarray,
         else:
             d = p * (lps - lpt - kl_rows[:, None])
         d *= g * 2.0 * temperature / max(len(lps), 1)
-        student_logits._accumulate(d)
+        student_logits._accumulate(d, fresh=True)
 
     req = student_logits.requires_grad
     return Tensor(value, req, (student_logits,), back if req else None)
@@ -231,7 +231,7 @@ def bsr_node(ctx: BsrContext, student_thetas: list[Tensor]) -> Tensor:
             for t, theta in zip(student_thetas, thetas):
                 if t.requires_grad:
                     d = row_g[:theta.shape[0], None] * q * np.abs(theta) ** (q - 1.0)
-                    t._accumulate(d * np.sign(theta))
+                    t._accumulate(d * np.sign(theta), fresh=True)
     else:
         best, owner, cols = ctx.teacher_row_agg.copy(), np.full(ctx.m, -1), []
         for l, theta in enumerate(thetas):
@@ -248,7 +248,7 @@ def bsr_node(ctx: BsrContext, student_thetas: list[Tensor]) -> Tensor:
                     rows = np.flatnonzero(owner[:len(theta)] == l)
                     d = np.zeros_like(theta)
                     d[rows, col[rows]] = g * np.sign(theta[rows, col[rows]])
-                    t._accumulate(d)
+                    t._accumulate(d, fresh=True)
 
     req = any(t.requires_grad for t in student_thetas)
     return Tensor(value, req, tuple(student_thetas), back if req else None)

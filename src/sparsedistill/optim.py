@@ -17,7 +17,8 @@ import numpy as np
 from .autograd import Tensor
 from .checkpoint import parse_arch
 from .data import Dataset, batch_iter, subset_indices
-from .errors import ConsistencyError, TrainingError, UsageError, as_choice, as_int, as_real
+from .errors import (ConsistencyError, TrainingError, UsageError, as_choice, as_distinct,
+                     as_int, as_real)
 from .losses import BsrContext, LossConfig, make_bsr_context, total_loss
 from .metrics import (SparsityReport, compression_ratio, footprint, inference_time, json_line,
                       per_layer_sparsity_pct, remaining_parameters, sparsity_ratio, top1_error)
@@ -255,8 +256,9 @@ def lowdata_sweep(train_ds: Dataset, test_ds: Dataset, teacher_logits: np.ndarra
     ``loss_cfg.lambda_v_max`` is None.  Two rows come out of every pair:
     ``hint`` True trained with ``loss_cfg``, and ``hint`` False with the hint
     and group weights zeroed and no teacher logits or weights, the
-    teacher-free Bayesian baseline.
+    teacher-free Bayesian baseline.  A repeated size or seed raises :class:`UsageError`.
     """
+    sizes, seeds = as_distinct(sizes, "size"), as_distinct(seeds, "seed")
     results = []
     off_cfg = replace(loss_cfg, lambda_t=0.0, lambda_g=0.0)
     for size in sizes:

@@ -243,15 +243,15 @@ def _noisy_layer_node(x, theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,
     def back(g):
         dv = g * eps * 0.5 / sd
         if theta_t.requires_grad:
-            theta_t._accumulate(xd.T @ g)
+            theta_t._accumulate(xd.T @ g, fresh=True)
         if bias_t.requires_grad:
-            bias_t._accumulate(g.sum(axis=0))
+            bias_t._accumulate(g.sum(axis=0), fresh=True)
         if log_sigma2_t.requires_grad:
-            log_sigma2_t._accumulate((x_sq.T @ dv) * s2)
+            log_sigma2_t._accumulate((x_sq.T @ dv) * s2, fresh=True)
         if x_t is not None and x_t.requires_grad:
             dx = g @ theta_t.data.T
             dx += 2.0 * xd * (dv @ s2.T)
-            x_t._accumulate(dx)
+            x_t._accumulate(dx, fresh=True)
 
     return Tensor(out, req, parents, back if req else None)
 

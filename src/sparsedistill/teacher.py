@@ -98,8 +98,11 @@ def init_mlp(arch, seed: int, activation: str = "relu") -> DenseMLP:
 
 
 def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
-    """Pre-softmax outputs, in the row blocks of :func:`.tensor.dense_forward`."""
-    return dense_forward(batch, net.weights, net.biases, net.activation)
+    """Pre-softmax outputs as float64, from float32 products in the row blocks of
+    :func:`.tensor.dense_forward`.  The float32 weights are cast on every call, not kept:
+    :func:`train_teacher` updates ``net.weights`` in place, so a kept copy would go stale."""
+    return dense_forward(batch, [w.astype(np.float32) for w in net.weights], net.biases,
+                         net.activation)
 
 
 def _forward_node(weight_ts, bias_ts, x: np.ndarray, activation: str) -> Tensor:

@@ -14,7 +14,7 @@ from .errors import ConsistencyError, ShapeError
 
 __all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS", "check_layers", "dense_forward"]
 
-_FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB
+_FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB in float64
 # elements per block of the flat elementwise loops (Adam's update, the KL penalty): a block's
 # handful of float64 arrays (under 1 MiB) stays in L2 between the passes over it
 ELEMENT_BLOCK = 16384
@@ -54,9 +54,15 @@ class RngStream:
         return f"RngStream(seed={self.seed}, path={self.path})"
 
 
+def _as_float(x) -> np.ndarray:
+    """``x`` as an array of its own float type, float32 or float64; anything else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
+
+
 def sigmoid(x) -> np.ndarray:
-    """Logistic function, computed without overflow for large |x|."""
-    x = np.asarray(x, dtype=np.float64)
+    """Logistic function, computed without overflow for large |x|, in ``x``'s float type."""
+    x = _as_float(x)
     # 1 / (1 + exp(-x)) where x >= 0, since exp(-|x|) <= 1 there, and
     # exp(x) / (1 + exp(x)) elsewhere; no masked indexing, which is slow
     ex = np.exp(-np.abs(x))
@@ -64,7 +70,7 @@ def sigmoid(x) -> np.ndarray:
 
 
 def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    return np.maximum(_as_float(x), 0.0)
 
 
 ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid}
@@ -85,9 +91,11 @@ def check_layers(weights, biases) -> None:
 
 
 def dense_forward(x, weights, biases, activation: str, cols=None) -> np.ndarray:
-    """Last-layer pre-activations, in row blocks of at most ``_FORWARD_ROWS`` whose sizes differ
-    by at most one: BLAS would sum a short last block's few rows in another order.  ``cols``, a
-    boolean mask over the input's columns, picks those the first layer reads, block by block."""
+    """Last-layer pre-activations as float64, in row blocks of at most ``_FORWARD_ROWS`` whose
+    sizes differ by at most one: BLAS would sum a short last block's few rows in another order.
+    Each block is computed in the float type of ``weights`` (float32 weights give float32
+    products and hidden activations).  ``cols``, a boolean mask over the input's columns, picks
+    those the first layer reads, block by block."""
     x = np.asarray(x, dtype=np.float64)
     width = weights[0].shape[0] if cols is None else len(cols)
     if x.ndim != 2 or x.shape[1] != width:
@@ -100,11 +108,12 @@ def dense_forward(x, weights, biases, activation: str, cols=None) -> np.ndarray:
         h, block = x[lo:hi], out[lo:hi]
         if cols is not None:
             h = h.compress(cols, axis=1)
+        h = h.astype(weights[0].dtype, copy=False)
         for w, b in zip(weights[:-1], biases[:-1]):
             # the bias is added in place so that one fewer block-by-width array is live
             h = h @ w
             h += b
             h = act(h)
-        np.matmul(h, weights[-1], out=block)
+        np.matmul(h, weights[-1], out=block)  # computed in h's type, stored as float64
         block += biases[-1]
     return out

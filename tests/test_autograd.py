@@ -13,6 +13,7 @@ import reference_autograd as ref
 from reference_autograd import constant, maximum, maximum_of, parameter
 from sparsedistill.autograd import Tensor
 from sparsedistill.optim import _clip_global_norm
+from sparsedistill.student import _noisy_layer_node
 
 from conftest import finite_difference_check
 
@@ -226,6 +227,29 @@ class TestGraphStructure:
         assert not np.shares_memory(a.grad, b.grad)
         _clip_global_norm([a], 0.5)
         np.testing.assert_array_equal(b.grad, np.ones(3))
+
+    def test_leaf_gradients_share_no_memory(self):
+        # matmul, ``*``, relu, sigmoid and the noisy layer hand their fresh products to the
+        # leaves without a copy; ``+`` and ``sum`` must still copy, so that clipping, which
+        # scales each gradient in place, scales every leaf's once
+        rng = np.random.default_rng(21)
+        w1, b1 = leaf(rng, (4, 5)), leaf(rng, (5,))
+        theta, log_sigma2, bias = leaf(rng, (5, 2)), leaf(rng, (5, 2), -6.0, -2.0), leaf(rng, (2,))
+        a, c, d, scale = leaf(rng, (3, 2)), leaf(rng, (3, 2)), leaf(rng, (2,)), leaf(rng, ())
+        h = (Tensor(rng.normal(size=(3, 4))) @ w1 + b1).relu()
+        y = _noisy_layer_node(h, theta, log_sigma2, bias, rng.normal(size=(3, 2))).sigmoid()
+        y = y * scale + (a + c)
+        ((y * y).sum() + d.sum()).backward()
+        leaves = [w1, b1, theta, log_sigma2, bias, a, c, d, scale]
+        for i, p in enumerate(leaves):
+            assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.data.shape
+            for q in leaves[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad)
+        before = [p.grad.copy() for p in leaves]
+        norm = np.sqrt(sum(np.sum(np.square(g)) for g in before))
+        _clip_global_norm(leaves, 0.5)
+        for p, g in zip(leaves, before):
+            np.testing.assert_allclose(p.grad, g * (0.5 / norm), rtol=1e-14)
 
     def test_diamond_graph(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

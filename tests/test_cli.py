@@ -127,6 +127,12 @@ class TestArgumentErrors:
             assert err.value.code == 2
             assert named in capsys.readouterr().err
 
+    def test_repeated_size_in_list(self, corpus, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["lowdata", *data_flags(corpus), "--sizes", "30,45,30"])
+        assert err.value.code == 2
+        assert "size list '30,45,30' repeats a size" in capsys.readouterr().err
+
 
 class TestUsageExitCodes:
     def test_missing_data_flags(self):

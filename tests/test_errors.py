@@ -1,4 +1,4 @@
-"""The three value rules, and every config field going through one of them."""
+"""The four value rules, and every config field going through one of them."""
 
 import dataclasses
 import math
@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from sparsedistill.errors import FormatError, UsageError, as_choice, as_int, as_real
+from sparsedistill.errors import FormatError, UsageError, as_choice, as_distinct, as_int, as_real
 from sparsedistill.losses import LossConfig
 from sparsedistill.optim import StudentTrainConfig
 from sparsedistill.teacher import TeacherConfig
@@ -44,6 +44,13 @@ class TestRules:
                              (None, ("a", "b")), ("None", (None, "a"))):
             with pytest.raises(UsageError, match=re.escape(f"unknown letter {bad!r}; expected one of")):
                 as_choice(bad, "letter", options)
+
+    def test_distinct_names_the_values_as_written(self):
+        assert as_distinct((3, 1), "seed") == [3, 1]
+        with pytest.raises(UsageError, match=re.escape("seed list [1, 0, 1] repeats a seed")):
+            as_distinct([1, 0, 1], "seed")
+        with pytest.raises(FormatError, match=re.escape("size list '30,30' repeats a size")):
+            as_distinct([30, 30], "size", "30,30", error=FormatError)
 
 
 CONFIG_FIELDS = [(cls, f) for cls in (LossConfig, StudentTrainConfig, TeacherConfig)

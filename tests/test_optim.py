@@ -326,6 +326,25 @@ class TestEvaluateStudent:
         want = top1_error(student_logits(net, ds.images, masks=prune_masks(net, 3.0)), ds.labels)
         assert evaluate_student(net, ds, tau=3.0)["test_error_pct"] == 100.0 * want
 
+    def test_student_forward_stays_float64(self):
+        # classes 0 and 1 read the same weights but for a relative 1e-12, which float64
+        # products resolve and float32 products round away, tying them (argmax picks 0)
+        ds = make_blobs(50, 8, 3, seed=5)
+        ds.labels[:] = 1
+        net = init_student([8, 6, 3], seed=2)
+        last = net.layers[-1]
+        last.theta[:, 0] = np.abs(last.theta[:, 0]) + 0.1
+        last.theta[:, 1] = last.theta[:, 0] * (1.0 + 1e-12)
+        last.theta[:, 2] = -1.0
+        last.bias[:] = 0.0
+        net.layers[0].bias[:] = 1.0
+        masks = prune_masks(net, 3.0)
+        h = np.maximum(ds.images @ (net.layers[0].theta * masks[0]) + net.layers[0].bias, 0.0)
+        want = h @ (last.theta * masks[1]) + last.bias
+        np.testing.assert_array_equal(student_logits(net, ds.images, masks=masks), want)
+        assert top1_error(want, ds.labels) == 0.0
+        assert evaluate_student(net, ds, tau=3.0)["test_error_pct"] == 0.0
+
     def test_fully_pruned_network_predicts_first_class(self):
         ds = make_blobs(100, 6, 10, seed=3)
         net = init_student([6, 5, 10], seed=0)
@@ -444,6 +463,13 @@ class TestLowdataSweep:
                           for h in (True, False)}
         for r in rows:
             assert set(r) == {"size", "seed", "hint", "test_error_pct", "r_s"}
+
+    def test_repeated_size_or_seed_is_refused(self):
+        train, test, logits, loss_cfg, cfg = self.make_inputs()
+        for sizes, seeds, named in (([30, 30], [0], r"size list \[30, 30\] repeats a size"),
+                                    ([30], [1, 0, 1], r"seed list \[1, 0, 1\] repeats a seed")):
+            with pytest.raises(UsageError, match=named):
+                lowdata_sweep(train, test, logits, loss_cfg, cfg, sizes=sizes, seeds=seeds)
 
     def test_hint_off_rows_match_manual_zeroed_hint(self):
         train, test, logits, loss_cfg, cfg = self.make_inputs()

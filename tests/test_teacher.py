@@ -16,6 +16,20 @@ from sparsedistill.tensor import relu, sigmoid
 from conftest import make_blobs
 
 
+def float32_forward(net, x, act):
+    """``forward_logits`` written out: the input and the weights cast to float32, each hidden
+    bias added in place (rounding to float32), the last product widened to float64 before its
+    bias."""
+    h = x.astype(np.float32)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = h @ w.astype(np.float32)
+        h += b
+        h = act(h)
+    out = (h @ net.weights[-1].astype(np.float32)).astype(np.float64)
+    out += net.biases[-1]
+    return out
+
+
 class TestParseArch:
     def test_string_and_sequence_forms(self):
         assert parse_arch("784-500-50-10") == [784, 500, 50, 10]
@@ -83,15 +97,21 @@ class TestInitAndForward:
         b2 = np.array([0.5])
         net = DenseMLP([w1, w2], [b1, b2], activation="relu")
         x = np.array([[1.0, 2.0], [0.0, -1.0]])
-        hidden = np.maximum(x @ w1 + b1, 0.0)
-        np.testing.assert_allclose(forward_logits(net, x), hidden @ w2 + b2, rtol=1e-15)
+        hidden = x.astype(np.float32) @ w1.astype(np.float32)
+        hidden += b1
+        hidden = np.maximum(hidden, 0.0)
+        want = (hidden @ w2.astype(np.float32)).astype(np.float64) + b2
+        np.testing.assert_allclose(forward_logits(net, x), want, rtol=1e-15)
 
     def test_forward_sigmoid_activation(self):
         net = init_mlp([4, 3, 2], seed=1, activation="sigmoid")
         x = np.random.default_rng(0).normal(size=(5, 4))
-        h = 1.0 / (1.0 + np.exp(-(x @ net.weights[0] + net.biases[0])))
-        np.testing.assert_allclose(forward_logits(net, x),
-                                   h @ net.weights[1] + net.biases[1], rtol=1e-12)
+        z = x.astype(np.float32) @ net.weights[0].astype(np.float32)
+        z += net.biases[0]
+        ex = np.exp(-np.abs(z))  # the overflow-safe logistic, as the library writes it
+        h = np.maximum(ex, z >= 0) / (1 + ex)
+        want = (h @ net.weights[1].astype(np.float32)).astype(np.float64) + net.biases[1]
+        np.testing.assert_array_equal(forward_logits(net, x), want)
 
     def test_forward_is_exact_and_leaves_inputs_alone(self):
         rng = np.random.default_rng(2)
@@ -99,15 +119,13 @@ class TestInitAndForward:
             net = init_mlp([6, 5, 4, 3], seed=3, activation=activation)
             net.biases = [rng.normal(size=b.shape) for b in net.biases]
             x = rng.normal(size=(7, 6))
-            x_before, biases_before = x.copy(), [b.copy() for b in net.biases]
-            want = x
-            for w, b in zip(net.weights[:-1], net.biases[:-1]):
-                want = act(want @ w + b)
-            want = want @ net.weights[-1] + net.biases[-1]
-            np.testing.assert_array_equal(forward_logits(net, x), want)
+            x_before, weights_before = x.copy(), [w.copy() for w in net.weights]
+            biases_before = [b.copy() for b in net.biases]
+            np.testing.assert_array_equal(forward_logits(net, x), float32_forward(net, x, act))
             np.testing.assert_array_equal(x, x_before)
-            for b, before in zip(net.biases, biases_before):
-                np.testing.assert_array_equal(b, before)
+            for a, before in zip(net.weights + net.biases, weights_before + biases_before):
+                assert a.dtype == np.float64
+                np.testing.assert_array_equal(a, before)
 
     def test_row_blocks_equal_a_single_pass(self):
         # the paper's last layer (1200 -> 10), where BLAS sums a few rows in
@@ -115,11 +133,8 @@ class TestInitAndForward:
         net = init_mlp([32, 1200, 10], seed=0)
         x = np.random.default_rng(4).random((2049, 32))
         for n in (1023, 1024, 1025, 2049):
-            want = x[:n]
-            for w, b in zip(net.weights[:-1], net.biases[:-1]):
-                want = relu(want @ w + b)
-            want = want @ net.weights[-1] + net.biases[-1]
-            np.testing.assert_array_equal(forward_logits(net, x[:n]), want)
+            np.testing.assert_array_equal(forward_logits(net, x[:n]),
+                                          float32_forward(net, x[:n], relu))
 
     def test_forward_shape_check(self):
         net = init_mlp([4, 3, 2], seed=0)

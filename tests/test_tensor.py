@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from sparsedistill.errors import ShapeError
 from sparsedistill.losses import _log_softmax
-from sparsedistill.tensor import RngStream, relu, sigmoid
+from sparsedistill.tensor import RngStream, dense_forward, relu, sigmoid
 
 
 def row_softmax(z, temperature=1.0):
@@ -109,3 +110,43 @@ class TestScalarNonlinearities:
     def test_relu(self):
         x = np.array([-2.0, -0.0, 0.5, 3.0])
         np.testing.assert_array_equal(relu(x), [0.0, 0.0, 0.5, 3.0])
+
+    @pytest.mark.parametrize("act", [relu, sigmoid])
+    def test_float_type_is_kept(self, act):
+        x = np.random.default_rng(5).uniform(-30, 30, size=200)
+        x32 = x.astype(np.float32)
+        out = act(x32)
+        assert out.dtype == np.float32
+        assert act(x).dtype == np.float64
+        assert act([1, -2]).dtype == np.float64
+        # float64 bits are today's: the formulas written out in float64
+        want = (np.maximum(x, 0.0) if act is relu
+                else np.maximum(np.exp(-np.abs(x)), x >= 0) / (1.0 + np.exp(-np.abs(x))))
+        np.testing.assert_array_equal(act(x), want)
+        np.testing.assert_allclose(out, act(x32.astype(np.float64)),
+                                   rtol=4 * np.finfo(np.float32).eps)
+
+
+class TestDenseForward:
+    def layers(self):
+        rng = np.random.default_rng(9)
+        weights = [rng.normal(size=(6, 5)), rng.normal(size=(5, 4))]
+        biases = [rng.normal(size=5), rng.normal(size=4)]
+        return weights, biases, rng.normal(size=(9, 6))
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_float32_weights_give_float32_products_and_float64_logits(self, activation):
+        weights, biases, x = self.layers()
+        act = relu if activation == "relu" else sigmoid
+        w32 = [w.astype(np.float32) for w in weights]
+        h = x.astype(np.float32) @ w32[0]
+        h += biases[0]
+        h = act(h)
+        want = (h @ w32[1]).astype(np.float64)
+        want += biases[1]
+        got = dense_forward(x, w32, biases, activation)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(got, dense_forward(x, weights, biases, activation))
+        with pytest.raises(ShapeError):
+            dense_forward(np.zeros((2, 5)), w32, biases, activation)
