@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import parse_arch, read_manifest
@@ -89,9 +89,8 @@ _FLAGS = {
     "student": (str, "student checkpoint (manifest path)"),
     "arch": (_arch, "dash-separated widths"),
     "variant": (_choice("variant", VARIANTS), "one of " + ", ".join(VARIANTS)),
-    "kl": (_choice("kl variant", ("svd", "vbd")), "posterior penalty: svd or vbd"),
-    "bsr": (_choice("group-norm variant", ("none", "l1linf", "l1l2", "l1lq")),
-            "row-group norm: none, l1linf, l1l2, or l1lq"),
+    "bsr": (_choice("group-norm variant", ("l1lq", "l1linf")),
+            "add the row-group norm l1lq or l1linf (st-* variants have l1lq)"),
     "q": (float, "inner norm order for l1lq"),
     "temperature": (float, "softening temperature"),
     "lambda_t": (float, "hint weight"),
@@ -168,23 +167,21 @@ def _require_file(path, what: str) -> Path:
     return path
 
 
-def _load_pair(v, prefix: str, required: bool):
+def _load_pair(v, prefix: str, required: bool, arch: list[int]):
+    """The ``prefix`` data set, checked against ``arch``: equal input width, and no more
+    classes than outputs.  None when neither file is given and the set is not ``required``."""
     images, labels = v(f"{prefix}_images"), v(f"{prefix}_labels")
     if images is None and labels is None:
         if required:
             raise UsageError(f"missing --{prefix}-images/--{prefix}-labels")
         return None
-    return load_idx(_require_file(images, f"{prefix} images file"),
-                    _require_file(labels, f"{prefix} labels file"))
-
-
-def _check_arch_against(arch_text: str, ds) -> list[int]:
-    arch = parse_arch(arch_text)
+    ds = load_idx(_require_file(images, f"{prefix} images file"),
+                  _require_file(labels, f"{prefix} labels file"))
     if arch[0] != ds.n_features:
-        raise UsageError(f"architecture input width {arch[0]} != dataset features {ds.n_features}")
+        raise UsageError(f"{images}: {ds.n_features} features, but the input width is {arch[0]}")
     if arch[-1] < ds.n_classes:
-        raise UsageError(f"architecture output width {arch[-1]} < {ds.n_classes} classes")
-    return arch
+        raise UsageError(f"{labels}: {ds.n_classes} classes, but the output width is {arch[-1]}")
+    return ds
 
 
 def _write_json(path: Path, obj):
@@ -192,40 +189,13 @@ def _write_json(path: Path, obj):
     path.write_text(to_json(obj, indent=2, sort_keys=True) + "\n")
 
 
-# -- loss config assembly -----------------------------------------------------
-
-
-def build_loss_config(v) -> LossConfig:
-    bsr_flag = v("bsr")
-    kind = None if bsr_flag in (None, "none") else "l1linf" if bsr_flag == "l1linf" else "l1lq"
-    if bsr_flag == "l1l2" and v("q") != 2.0:
-        raise UsageError(f"--q {v('q')} would be ignored: --bsr l1l2 fixes q at 2.0")
-    base = LossConfig(temperature=v("temperature"), lambda_t=v("lambda_t"),
-                      lambda_v_max=v("lambda_v"), q=v("q"),
-                      bsr_variant=kind, warmup_epochs=v("warmup_epochs"),
-                      hint_reverse=v("hint_reverse"))
-    cfg = resolve_variant(v("variant"), base, lambda_g=v("lambda_g"))
-    if bsr_flag == "none":
-        cfg = replace(cfg, bsr_variant=None, lambda_g=0.0)
-    if v("kl") is not None:
-        cfg = replace(cfg, kl_variant=v("kl"))
-    run = f"variant {v('variant')!r}" + ("" if bsr_flag is None else f" with --bsr {bsr_flag}")
-    if v("lambda_g") is not None and cfg.lambda_g != v("lambda_g"):
-        raise UsageError(f"--lambda-g {v('lambda_g')} would be ignored: {run} has no group term")
-    if v("q") != 2.0 and not (cfg.bsr_variant == "l1lq" and cfg.lambda_g != 0.0):
-        why = (f"--lambda-g {cfg.lambda_g} turns the l1lq group term off"
-               if cfg.bsr_variant == "l1lq" else f"{run} has no l1lq group term")
-        raise UsageError(f"--q {v('q')} would be ignored: {why}")
-    return cfg
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_train_teacher(v: Resolved) -> int:
-    train_ds = _load_pair(v, "train", required=True)
-    test_ds = _load_pair(v, "test", required=False)
-    arch = _check_arch_against(v("arch"), train_ds)
+    arch = parse_arch(v("arch"))
+    train_ds = _load_pair(v, "train", True, arch)
+    test_ds = _load_pair(v, "test", False, arch)
     cfg = TeacherConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
                         lr=v("lr"), seed=v("seed"), activation=v("activation"))
     net, records = train_teacher(train_ds, cfg, test_ds=test_ds)
@@ -249,14 +219,21 @@ def cmd_train_teacher(v: Resolved) -> int:
     return 0
 
 
-def _load_teacher_and_cache(v, train_ds):
-    """Returns (teacher_net, logits aligned with train_ds) or (None, None)."""
+def _load_teacher_and_cache(v, train_ds, logit_width: int | None):
+    """Returns (teacher_net, logits aligned with train_ds) or (None, None).  The teacher must
+    read the data's width, and give ``logit_width`` logits unless that is None (hint off)."""
     teacher_path = v("teacher")
     if teacher_path is None:
         if v("cache") is not None:
             raise UsageError("--cache needs --teacher, the checkpoint its logits were made by")
         return None, None
     net = load_checkpoint(_require_file(teacher_path, "teacher checkpoint"))
+    if net.arch[0] != train_ds.n_features:
+        raise UsageError(f"{teacher_path}: teacher input width {net.arch[0]}, but the "
+                         f"training set has {train_ds.n_features} features")
+    if logit_width not in (None, net.arch[-1]):
+        raise UsageError(f"{teacher_path}: teacher output width {net.arch[-1]}, but the hint "
+                         f"compares it with the student's output width {logit_width}")
     digest = payload_digest(net)
     cache_path = v("cache")
     if cache_path is not None:
@@ -273,11 +250,15 @@ def _load_teacher_and_cache(v, train_ds):
 def _student_inputs(v, test_required: bool):
     """``(train_ds, test_ds, loss_cfg, train_cfg, teacher_net, logits)`` of a
     student command; the teacher and its logits are None without ``--teacher``."""
-    train_ds = _load_pair(v, "train", required=True)
-    test_ds = _load_pair(v, "test", required=test_required)
-    arch = _check_arch_against(v("arch"), train_ds)
-    loss_cfg = build_loss_config(v)
-    teacher_net, logits = _load_teacher_and_cache(v, train_ds)
+    arch = parse_arch(v("arch"))
+    train_ds = _load_pair(v, "train", True, arch)
+    test_ds = _load_pair(v, "test", test_required, arch)
+    base = LossConfig(temperature=v("temperature"), lambda_t=v("lambda_t"),
+                      lambda_v_max=v("lambda_v"), q=v("q"), bsr_variant=v("bsr"),
+                      warmup_epochs=v("warmup_epochs"), hint_reverse=v("hint_reverse"))
+    loss_cfg = resolve_variant(v("variant"), base, lambda_g=v("lambda_g"))
+    teacher_net, logits = _load_teacher_and_cache(
+        v, train_ds, arch[-1] if loss_cfg.lambda_t != 0.0 else None)
     # lowdata has no --seed: lowdata_sweep gives each run a seed from --seeds
     cfg = StudentTrainConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
                              lr=v("lr"), seed=v("seed") or 0, tau=v("tau"),
@@ -287,8 +268,6 @@ def _student_inputs(v, test_required: bool):
 
 def cmd_train_student(v: Resolved) -> int:
     train_ds, test_ds, loss_cfg, cfg, teacher_net, logits = _student_inputs(v, False)
-    if v("variant") != "simple" and teacher_net is None:
-        raise UsageError(f"variant {v('variant')!r} needs --teacher (only 'simple' runs without one)")
     out = Path(v("out"))
     net, records = train_student(
         train_ds, logits, loss_cfg, cfg,
@@ -315,7 +294,7 @@ def cmd_train_student(v: Resolved) -> int:
 def cmd_evaluate(v: Resolved) -> int:
     as_int(v("batch"), "batch size", 1)
     net, _ = load_student(_require_file(v("student"), "student checkpoint"))
-    test_ds = _load_pair(v, "test", required=True)
+    test_ds = _load_pair(v, "test", True, net.arch)
     teacher_net = None
     if v("teacher") is not None:
         teacher_net = load_checkpoint(_require_file(v("teacher"), "teacher checkpoint"))
@@ -359,7 +338,7 @@ def cmd_lowdata(v: Resolved) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-_STUDENT = {"arch": "784-500-50-10", "variant": "kd-svd", "kl": None, "bsr": None, "q": "2",
+_STUDENT = {"arch": "784-500-50-10", "variant": "kd-svd", "bsr": None, "q": "2",
             "temperature": "2", "lambda_t": "2", "lambda_v": "auto", "lambda_g": None,
             "warmup_epochs": "10", "epochs": "100", "batch": "512", "lr": "1e-3", "tau": "3",
             "seed": "0", "activation": "relu", "hint_reverse": "false", "clip": None,

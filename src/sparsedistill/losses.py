@@ -65,6 +65,8 @@ class LossConfig:
         self.kl_variant = as_choice(self.kl_variant, "kl variant", (None, "svd", "vbd"))
         self.bsr_variant = as_choice(self.bsr_variant, "group-norm variant",
                                      (None, "l1lq", "l1linf"))
+        if self.lambda_g != 0.0 and self.bsr_variant is None:
+            raise UsageError(f"lambda_g {self.lambda_g} needs a group norm, but bsr_variant is None")
         # checked even when unused, since the run's config.json records it
         l1lq = self.bsr_variant == "l1lq"
         self.q = as_real(self.q, "q", 1 if l1lq else None, inf=not l1lq)
@@ -79,6 +81,8 @@ def resolve_variant(variant: str, base: LossConfig | None = None,
     The group term is on for ``st-*`` (``l1lq`` unless ``base`` names a
     group-norm variant) and for any variant whose ``base`` names one.  Its
     weight is ``lambda_g``, else a positive ``base.lambda_g``, else 0.01.
+    Settings the run would ignore raise :class:`UsageError`: a ``lambda_g``
+    with no group norm, and a ``q`` other than 2 with no active ``l1lq`` term.
     """
     cfg = base if base is not None else LossConfig()
     as_choice(variant, "variant", VARIANTS)
@@ -86,12 +90,17 @@ def resolve_variant(variant: str, base: LossConfig | None = None,
     cfg = replace(cfg, kl_variant=kl, lambda_t=0.0 if variant == "simple" else cfg.lambda_t)
     if variant.startswith("st-") and cfg.bsr_variant is None:
         cfg = replace(cfg, bsr_variant="l1lq")
-    if cfg.bsr_variant is None:
-        return replace(cfg, lambda_g=0.0)
-    gate = lambda_g
-    if gate is None:
-        gate = cfg.lambda_g if cfg.lambda_g > 0 else 0.01
-    return replace(cfg, lambda_g=gate)
+    if cfg.bsr_variant is not None:
+        if lambda_g is None:
+            lambda_g = cfg.lambda_g if cfg.lambda_g > 0 else 0.01
+        cfg = replace(cfg, lambda_g=lambda_g)
+    elif lambda_g is not None:
+        raise UsageError(f"lambda_g {lambda_g} would be ignored: variant {variant!r} "
+                         "has no group norm")
+    if cfg.q != 2.0 and not (cfg.bsr_variant == "l1lq" and cfg.lambda_g != 0.0):
+        raise UsageError(f"q {cfg.q} would be ignored: variant {variant!r} has no active "
+                         f"l1lq term (group norm {cfg.bsr_variant}, lambda_g {cfg.lambda_g})")
+    return cfg
 
 
 def warmup_scale(epoch: int, warmup_epochs: int) -> float:
@@ -265,10 +274,17 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
 
     ``param_ts`` is a list of ``(theta, log_sigma2, bias)`` graph-tensor
     triples.  Returns ``(loss, parts)`` where ``parts`` maps each term
-    name to its unweighted float value plus the effective KL weight.
+    name to its unweighted float value plus the effective KL weight.  The
+    hint and group terms run exactly when their weights are non-zero, and
+    then need ``teacher_rows`` and ``bsr_ctx``; a missing one raises
+    :class:`UsageError`.
     """
     if rng is None:
         raise UsageError("total_loss needs an rng stream for the noise draws")
+    if cfg.lambda_t != 0.0 and teacher_rows is None:
+        raise UsageError(f"lambda_t {cfg.lambda_t} weights the hint, but no teacher rows were given")
+    if cfg.lambda_g != 0.0 and bsr_ctx is None:
+        raise UsageError(f"lambda_g {cfg.lambda_g} weights the group term, but no bsr_ctx was given")
     xb = np.asarray(xb, dtype=np.float64)
     eps_list = [rng.child(i).normal(xb.shape[0], theta.data.shape[1])
                 for i, (theta, _, _) in enumerate(param_ts)]
@@ -277,7 +293,7 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
     loss = cross_entropy_node(logits, yb)
     parts = {"ce": loss.item()}
 
-    if cfg.lambda_t != 0.0 and teacher_rows is not None:
+    if cfg.lambda_t != 0.0:
         hint = hint_node(logits, teacher_rows, cfg.temperature, cfg.hint_reverse)
         parts["hint"] = hint.item()
         loss = loss + hint * cfg.lambda_t
@@ -297,7 +313,7 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
     else:
         parts["kl"] = 0.0
 
-    if cfg.lambda_g != 0.0 and bsr_ctx is not None:
+    if cfg.lambda_g != 0.0:
         group = bsr_node(bsr_ctx, [theta for theta, _, _ in param_ts])
         parts["bsr"] = group.item()
         loss = loss + group * cfg.lambda_g

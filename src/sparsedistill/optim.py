@@ -124,8 +124,6 @@ def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
     if teacher_logits is not None and len(teacher_logits) != len(ds):
         raise ConsistencyError(
             f"{len(teacher_logits)} cached logit rows for {len(ds)} training rows")
-    if loss_cfg.lambda_t != 0.0 and teacher_logits is None:
-        raise UsageError("hint weight is non-zero but no teacher logits were given")
 
     net = init_student(cfg.arch, cfg.seed, cfg.activation, cfg.log_sigma2_init)
     param_ts = [(Tensor(l.theta, requires_grad=True),
@@ -135,7 +133,7 @@ def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
     opt = Adam(flat_params, lr=cfg.lr)
 
     bsr_ctx: BsrContext | None = None
-    if loss_cfg.lambda_g != 0.0 and loss_cfg.bsr_variant is not None:
+    if loss_cfg.lambda_g != 0.0:
         if teacher_weights is None:
             raise UsageError("group regulariser is active but no teacher weights were given")
         bsr_ctx = make_bsr_context(teacher_weights, [l.theta.shape for l in net.layers],

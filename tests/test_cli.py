@@ -8,16 +8,23 @@ it is on PATH.
 """
 
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import sparsedistill
 from sparsedistill.cli import _COMMANDS, _FLAGS, main
 from sparsedistill.checkpoint import read_manifest
+from sparsedistill.data import load_idx
+from sparsedistill.losses import resolve_variant
+from sparsedistill.optim import StudentTrainConfig, train_student
+from sparsedistill.student import save_student
 
 from conftest import write_blob_idx
 
@@ -42,6 +49,24 @@ def data_flags(corpus, train=True, test=True):
 
 
 @pytest.fixture(scope="module")
+def narrow(tmp_path_factory):
+    """9 features and 3 classes: a test set or teacher data that no 16-x-3 run fits."""
+    root = tmp_path_factory.mktemp("narrow-idx")
+    paths = write_blob_idx(root, n_train=60, n_test=24, d=9, classes=3,
+                           seed=1, rows=3, cols=3)
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.fixture(scope="module")
+def four_class(tmp_path_factory):
+    """16 features and 4 classes: one class more than a 16-x-3 network outputs."""
+    root = tmp_path_factory.mktemp("four-class-idx")
+    paths = write_blob_idx(root, n_train=60, n_test=24, d=16, classes=4,
+                           seed=1, rows=4, cols=4)
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.fixture(scope="module")
 def teacher_run(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("teacher")
     rc = main(["train-teacher", *data_flags(corpus), "--arch", "16-10-3",
@@ -63,10 +88,19 @@ def student_run(corpus, teacher_run, tmp_path_factory):
     return {"out": out, "student": str(out / "student.ckpt")}
 
 
+def child_env() -> dict:
+    """The environment for a child interpreter that imports the package these tests import,
+    also when pytest alone put ``src`` on the path."""
+    env = dict(os.environ)
+    root = str(Path(sparsedistill.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoints:
     def test_module_help(self):
         proc = subprocess.run([sys.executable, "-m", "sparsedistill", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "train-teacher" in proc.stdout
 
@@ -83,7 +117,7 @@ class TestEntryPoints:
                    f"sys.argv[0] = 'sparsedistill'\n"
                    f"sys.exit({attr}())\n")
         proc = subprocess.run([sys.executable, "-c", wrapper, "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert "evaluate" in proc.stdout
 
@@ -180,6 +214,65 @@ class TestUsageExitCodes:
         assert not (tmp_path / "student.ckpt").exists()
 
 
+class TestWidthsWhereInputsEnter:
+    """A test set or a teacher that does not fit the run exits 2 before any training,
+    naming the file and both widths."""
+
+    @staticmethod
+    def err_names(capsys, *parts):
+        err = capsys.readouterr().err
+        assert all(p in err for p in parts), err
+
+    def test_train_teacher_test_set(self, corpus, narrow, tmp_path, capsys):
+        assert main(["train-teacher", *data_flags(corpus, test=False),
+                     *data_flags(narrow, train=False), "--arch", "16-10-3", "--epochs", "1",
+                     "--out", str(tmp_path)]) == 2
+        self.err_names(capsys, narrow["test_images"], "9 features", "input width is 16")
+        assert not (tmp_path / "teacher.ckpt").exists()
+
+    def test_train_student_test_set(self, corpus, narrow, tmp_path, capsys):
+        assert main(["train-student", *data_flags(corpus, test=False),
+                     *data_flags(narrow, train=False), "--arch", "16-8-3", "--variant", "simple",
+                     "--epochs", "1", "--out", str(tmp_path)]) == 2
+        self.err_names(capsys, narrow["test_images"], "9 features", "input width is 16")
+        assert not (tmp_path / "student.ckpt").exists()
+
+    def test_lowdata_test_set(self, corpus, narrow, teacher_run, tmp_path, capsys):
+        assert main(["lowdata", *data_flags(corpus, test=False), *data_flags(narrow, train=False),
+                     "--arch", "16-8-3", "--variant", "kd", "--sizes", "30", "--seeds", "1",
+                     "--epochs", "1", "--teacher", teacher_run["teacher"],
+                     "--cache", teacher_run["cache"], "--out", str(tmp_path)]) == 2
+        self.err_names(capsys, narrow["test_images"], "9 features", "input width is 16")
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_evaluate_test_set(self, narrow, four_class, student_run, capsys):
+        for data, named in ((narrow, (narrow["test_images"], "9 features", "input width is 16")),
+                            (four_class, (four_class["test_labels"], "4 classes",
+                                          "output width is 3"))):
+            assert main(["evaluate", "--student", student_run["student"],
+                         *data_flags(data, train=False)]) == 2
+            self.err_names(capsys, *named)
+
+    def test_teacher_input_width(self, corpus, narrow, tmp_path, capsys):
+        teacher = tmp_path / "t" / "teacher.ckpt"
+        assert main(["train-teacher", *data_flags(narrow, test=False), "--arch", "9-6-3",
+                     "--epochs", "1", "--out", str(teacher.parent)]) == 0
+        assert main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                     "--variant", "kd", "--epochs", "1", "--teacher", str(teacher),
+                     "--out", str(tmp_path / "s")]) == 2
+        self.err_names(capsys, str(teacher), "teacher input width 9", "16 features")
+
+    def test_teacher_logit_width(self, corpus, teacher_run, tmp_path, capsys):
+        run = ["train-student", *data_flags(corpus, test=False), "--arch", "16-8-4",
+               "--variant", "kd", "--epochs", "1", "--batch", "32",
+               "--teacher", teacher_run["teacher"], "--cache", teacher_run["cache"]]
+        assert main([*run, "--out", str(tmp_path / "hint")]) == 2
+        self.err_names(capsys, teacher_run["teacher"], "teacher output width 3",
+                       "output width 4")
+        # with the hint off, the teacher's logits are never compared with the student's
+        assert main([*run, "--lambda-t", "0", "--out", str(tmp_path / "no-hint")]) == 0
+
+
 class TestBadValuesExit2:
     """Values that parse but cannot be trained with fail with exit 2 and name the value."""
 
@@ -236,40 +329,27 @@ class TestBadValuesExit2:
                                 teacher_run=teacher_run) == 2
             assert named in capsys.readouterr().err
 
-    def test_q_the_l1l2_norm_would_ignore(self, corpus, teacher_run, tmp_path, capsys):
-        assert self.student(corpus, "--variant", "kd", "--bsr", "l1l2", "--q", "3",
-                            "--out", str(tmp_path / "q3"), teacher_run=teacher_run) == 2
-        err = capsys.readouterr().err
-        assert "--q 3.0" in err and "l1l2" in err and "2.0" in err
-        assert not (tmp_path / "q3").exists()
-        for q in ((), ("--q", "2")):
-            out = tmp_path / f"q{len(q)}"
-            assert self.student(corpus, "--variant", "kd", "--bsr", "l1l2", *q,
-                                "--out", str(out), teacher_run=teacher_run) == 0
-            loss = json.loads((out / "config.json").read_text())["loss"]
-            assert loss["bsr_variant"] == "l1lq" and loss["q"] == 2.0
-
     @pytest.mark.parametrize("flags, why", [
         (("--variant", "kd", "--bsr", "l1linf", "--q", "3"),
-         "variant 'kd' with --bsr l1linf has no l1lq group term"),
-        (("--variant", "kd", "--q", "7"), "variant 'kd' has no l1lq group term"),
+         "variant 'kd' has no active l1lq term (group norm l1linf, lambda_g 0.01)"),
+        (("--variant", "kd", "--q", "7"),
+         "variant 'kd' has no active l1lq term (group norm None, lambda_g 0.0)"),
         (("--variant", "st-svd", "--bsr", "l1linf", "--q", "3"),
-         "variant 'st-svd' with --bsr l1linf has no l1lq group term"),
+         "variant 'st-svd' has no active l1lq term (group norm l1linf, lambda_g 0.01)"),
         (("--variant", "kd", "--bsr", "l1lq", "--lambda-g", "0", "--q", "3"),
-         "--lambda-g 0.0 turns the l1lq group term off"),
+         "variant 'kd' has no active l1lq term (group norm l1lq, lambda_g 0.0)"),
     ], ids=["kd-l1linf", "kd-no-group", "st-svd-l1linf", "l1lq-weight-0"])
     def test_q_the_run_would_ignore(self, corpus, teacher_run, tmp_path, capsys, flags, why):
         out = tmp_path / "s"
         assert self.student(corpus, *flags, "--out", str(out), teacher_run=teacher_run) == 2
-        assert f"--q {float(flags[-1])} would be ignored: {why}" in capsys.readouterr().err
+        assert f"q {float(flags[-1])} would be ignored: {why}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_group_weight_the_run_would_ignore(self, corpus, teacher_run, tmp_path, capsys):
-        for variant, flags in (("simple", ()), ("kd", ()), ("kd-vbd", ()),
-                               ("st-svd", ("--bsr", "none"))):
-            assert self.student(corpus, "--variant", variant, *flags, "--lambda-g", "0.5",
+        for variant in ("simple", "kd", "kd-vbd", "kd-svd"):
+            assert self.student(corpus, "--variant", variant, "--lambda-g", "0.5",
                                 "--out", str(tmp_path), teacher_run=teacher_run) == 2
-            assert f"variant {variant!r}" in capsys.readouterr().err
+            assert f"lambda_g 0.5 would be ignored: variant {variant!r}" in capsys.readouterr().err
 
     def test_group_weight_with_explicit_group_variant(self, corpus, teacher_run, tmp_path):
         for lambda_g, weight in ((("--lambda-g", "0.5"), 0.5), ((), 0.01)):
@@ -415,6 +495,18 @@ class TestStudentArtifacts:
         assert main(argv) == 0
         assert outputs() == first
 
+    def test_teacher_free_sparse_vd(self, corpus, tmp_path):
+        """``kd-svd --lambda-t 0`` needs no teacher, and trains what the library call trains."""
+        out = tmp_path / "cli"
+        assert main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                     "--variant", "kd-svd", "--lambda-t", "0", "--epochs", "2", "--batch", "32",
+                     "--out", str(out)]) == 0
+        ds = load_idx(corpus["train_images"], corpus["train_labels"])
+        net, _ = train_student(ds, None, replace(resolve_variant("kd-svd"), lambda_t=0.0),
+                               StudentTrainConfig(arch=[16, 8, 3], epochs=2, batch_size=32))
+        save_student(net, tmp_path / "lib.ckpt", tau=3.0)
+        assert (out / "student.ckpt.bin").read_bytes() == (tmp_path / "lib.ckpt.bin").read_bytes()
+
     def test_config_file_precedence(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs=2\nseed=5\n")
@@ -507,7 +599,8 @@ class TestFlagTable:
 
     @pytest.mark.parametrize("command,flag,value", [("evaluate", "seed", "1"),
                                                     ("lowdata", "seed", "1"),
-                                                    ("lowdata", "format", "csv")])
+                                                    ("lowdata", "format", "csv"),
+                                                    ("train-student", "kl", "svd")])
     def test_removed_flags_exit_2(self, corpus, tmp_path, capsys, command, flag, value):
         with pytest.raises(SystemExit) as err:
             main([command, *data_flags(corpus, train=command != "evaluate"),
@@ -520,11 +613,19 @@ class TestFlagTable:
                      "--config", str(cfg)]) == 2
         assert "not a flag of this command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["none", "l1l2"])
+    def test_removed_group_norm_spellings_exit_2(self, corpus, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["train-student", *data_flags(corpus), "--bsr", value])
+        assert err.value.code == 2
+        assert f"unknown group-norm variant {value!r}; expected one of l1lq, l1linf" \
+            in capsys.readouterr().err
+
     def test_config_json_keys(self, teacher_run, student_run):
         teacher = json.loads((teacher_run["out"] / "config.json").read_text())
         assert set(teacher) == {"arch", "epochs", "batch", "lr", "seed", "activation", "out"}
         student = json.loads((student_run["out"] / "config.json").read_text())
-        assert set(student) == {"arch", "variant", "kl", "bsr", "q", "temperature", "lambda_t",
+        assert set(student) == {"arch", "variant", "bsr", "q", "temperature", "lambda_t",
                                 "lambda_v", "lambda_g", "warmup_epochs", "epochs", "batch",
                                 "lr", "tau", "seed", "activation", "hint_reverse", "clip",
                                 "out", "format", "loss"}

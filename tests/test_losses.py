@@ -130,6 +130,11 @@ class TestLossConfig:
     def test_group_weight_validation(self):
         self.assert_weight_rejected("lambda_g")
 
+    def test_group_weight_needs_a_group_norm(self):
+        with pytest.raises(UsageError, match="lambda_g 0.5 needs a group norm"):
+            LossConfig(lambda_g=0.5)
+        assert LossConfig(lambda_g=0.5, bsr_variant="l1linf").lambda_g == 0.5
+
     def test_kl_weight_validation(self):
         self.assert_weight_rejected("lambda_v_max")
         LossConfig(lambda_v_max=None)
@@ -162,7 +167,8 @@ class TestResolveVariant:
 
     def test_named_group_variant_turns_the_term_on_for_any_variant(self):
         for name in ("simple", "kd", "kd-vbd"):
-            assert resolve_variant(name, lambda_g=0.5).lambda_g == 0.0
+            with pytest.raises(UsageError, match=f"lambda_g 0.5 would be ignored: variant '{name}'"):
+                resolve_variant(name, lambda_g=0.5)
             cfg = resolve_variant(name, LossConfig(bsr_variant="l1linf"))
             assert cfg.bsr_variant == "l1linf" and cfg.lambda_g == 0.01
             assert resolve_variant(name, LossConfig(bsr_variant="l1lq"), lambda_g=0.5).lambda_g == 0.5
@@ -170,6 +176,15 @@ class TestResolveVariant:
     def test_explicit_group_weight_is_honored(self):
         assert resolve_variant("st-svd", lambda_g=0.5).lambda_g == 0.5
         assert resolve_variant("st-svd", lambda_g=0.0).lambda_g == 0.0
+
+    def test_settings_the_run_would_ignore_are_refused(self):
+        with pytest.raises(UsageError, match="lambda_g -1.0 would be ignored: variant 'kd'"):
+            resolve_variant("kd", LossConfig(), lambda_g=-1.0)
+        with pytest.raises(UsageError, match="q 7.0 would be ignored: variant 'kd'"):
+            resolve_variant("kd", LossConfig(q=7.0))
+        with pytest.raises(UsageError, match="q 3.0 would be ignored: variant 'st-svd'"):
+            resolve_variant("st-svd", LossConfig(q=3.0), lambda_g=0.0)
+        assert resolve_variant("st-svd", LossConfig(q=3.0)).q == 3.0
 
     def test_base_fields_survive(self):
         base = LossConfig(temperature=4.0, lambda_t=1.0, warmup_epochs=3)
@@ -508,6 +523,14 @@ class TestTotalLoss:
         params, xb, yb, rows, cfg, ctx = self.setup_case()
         with pytest.raises(UsageError):
             total_loss(params, xb, yb, rows, cfg, epoch=0, n_train=100, bsr_ctx=ctx)
+
+    def test_weighted_term_needs_its_input(self):
+        params, xb, yb, rows, cfg, ctx = self.setup_case()
+        for missing_rows, missing_ctx, named in ((None, ctx, "lambda_t 2.0"),
+                                                 (rows, None, "lambda_g 0.01")):
+            with pytest.raises(UsageError, match=named):
+                total_loss(params, xb, yb, missing_rows, cfg, epoch=0, n_train=100,
+                           bsr_ctx=missing_ctx, rng=RngStream(0))
 
     def test_breakdown_composes_to_total(self):
         params, xb, yb, rows, cfg, ctx = self.setup_case()
