@@ -79,8 +79,11 @@ def _payload(arrays) -> bytes:
 
 
 def digest(arrays) -> str:
-    """SHA-256 of the payload that holds ``arrays``."""
-    return hashlib.sha256(_payload(arrays)).hexdigest()
+    """SHA-256 of the payload that holds ``arrays``, hashed array by array without a copy."""
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(np.ascontiguousarray(a, dtype="<f8"))
+    return sha.hexdigest()
 
 
 def write_artifact(base_path, kind: str, fields: dict, arrays) -> str:

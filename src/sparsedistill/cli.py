@@ -17,8 +17,8 @@ from pathlib import Path
 from .checkpoint import parse_arch, read_manifest
 from .data import load_idx
 from .errors import FormatError, UsageError, as_choice, as_distinct, as_int
-from .losses import LossConfig, VARIANTS, resolve_variant
-from .metrics import REPORT_FORMATS, emit_report, json_line, to_json
+from .losses import LossConfig, VARIANTS, resolve_variant, teacher_inputs
+from .metrics import REPORT_FORMATS, emit_report, to_json
 from .optim import (StudentTrainConfig, lowdata_sweep, report_student, summarize_sweep,
                     train_student)
 from .student import load_student, save_student
@@ -198,47 +198,46 @@ def cmd_train_teacher(v: Resolved) -> int:
     test_ds = _load_pair(v, "test", False, arch)
     cfg = TeacherConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
                         lr=v("lr"), seed=v("seed"), activation=v("activation"))
-    net, records = train_teacher(train_ds, cfg, test_ds=test_ds)
-
     out = Path(v("out"))
-    out.mkdir(parents=True, exist_ok=True)
+    net, records = train_teacher(train_ds, cfg, test_ds=test_ds, log_dir=out)
+
     digest = save_checkpoint(net, out / "teacher.ckpt")
     save_logit_cache(precompute_logits(net, train_ds), out / "cache.ckpt")
-    resolved = v.snapshot()
-    meta = {"kind": "teacher_session", "config": resolved, "n_train": len(train_ds),
-            "parameters": count_parameters(net), "digest": digest}
-    lines = [json_line(r) for r in [meta, *records]]
-    (out / "session.jsonl").write_text("\n".join(lines) + "\n")
-    _write_json(out / "config.json", resolved)
-    final = records[-1] if records else {}
+    _write_json(out / "config.json", v.snapshot())
+    final = records[-1]
     print(f"teacher {'-'.join(str(w) for w in arch)}: "
           f"{count_parameters(net)} parameters, digest {digest[:12]}, "
-          f"final train error {final.get('train_error', float('nan')):.4f}"
+          f"final train error {final['train_error']:.4f}"
           + (f", test error {final['test_error']:.4f}" if "test_error" in final else ""))
     print(f"wrote {out / 'teacher.ckpt'} and {out / 'cache.ckpt'}")
     return 0
 
 
-def _load_teacher_and_cache(v, train_ds, logit_width: int | None):
+def _load_teacher(path, arch: list[int], outputs: bool = True):
+    """The teacher checkpoint at ``path``, refused unless it reads the input width of the
+    student ``arch`` and, when ``outputs``, gives its output width."""
+    net = load_checkpoint(_require_file(path, "teacher checkpoint"))
+    if net.arch[0] != arch[0]:
+        raise UsageError(f"{path}: teacher input width {net.arch[0]} does not match the "
+                         f"student's {arch[0]} features")
+    if outputs and net.arch[-1] != arch[-1]:
+        raise UsageError(f"{path}: teacher output width {net.arch[-1]} does not match the "
+                         f"student's output width {arch[-1]}")
+    return net
+
+
+def _load_teacher_and_cache(v, train_ds, arch: list[int], hint: bool):
     """Returns (teacher_net, logits aligned with train_ds) or (None, None).  The teacher must
-    read the data's width, and give ``logit_width`` logits unless that is None (hint off)."""
+    fit the student ``arch`` (:func:`_load_teacher`), its output width only with the ``hint``."""
     teacher_path = v("teacher")
     if teacher_path is None:
         if v("cache") is not None:
             raise UsageError("--cache needs --teacher, the checkpoint its logits were made by")
         return None, None
-    net = load_checkpoint(_require_file(teacher_path, "teacher checkpoint"))
-    if net.arch[0] != train_ds.n_features:
-        raise UsageError(f"{teacher_path}: teacher input width {net.arch[0]}, but the "
-                         f"training set has {train_ds.n_features} features")
-    if logit_width not in (None, net.arch[-1]):
-        raise UsageError(f"{teacher_path}: teacher output width {net.arch[-1]}, but the hint "
-                         f"compares it with the student's output width {logit_width}")
-    digest = payload_digest(net)
+    net = _load_teacher(teacher_path, arch, hint)
     cache_path = v("cache")
     if cache_path is not None:
-        cache = load_logit_cache(_require_file(cache_path, "logit cache"), digest)
-        logits = cache.logits
+        logits = load_logit_cache(_require_file(cache_path, "logit cache"), payload_digest(net)).logits
     else:
         logits = precompute_logits(net, train_ds).logits
     if len(logits) != len(train_ds):
@@ -257,8 +256,13 @@ def _student_inputs(v, test_required: bool):
                       lambda_v_max=v("lambda_v"), q=v("q"), bsr_variant=v("bsr"),
                       warmup_epochs=v("warmup_epochs"), hint_reverse=v("hint_reverse"))
     loss_cfg = resolve_variant(v("variant"), base, lambda_g=v("lambda_g"))
-    teacher_net, logits = _load_teacher_and_cache(
-        v, train_ds, arch[-1] if loss_cfg.lambda_t != 0.0 else None)
+    needs = teacher_inputs(loss_cfg)
+    if needs and v("teacher") is None:
+        terms = {"rows": f"hint (--lambda-t {loss_cfg.lambda_t}; --lambda-t 0 turns it off)",
+                 "weights": f"group term (--lambda-g {loss_cfg.lambda_g})"}
+        raise UsageError(f"variant {v('variant')!r} needs --teacher for its "
+                         + " and its ".join(terms[k] for k in needs))
+    teacher_net, logits = _load_teacher_and_cache(v, train_ds, arch, "rows" in needs)
     # lowdata has no --seed: lowdata_sweep gives each run a seed from --seeds
     cfg = StudentTrainConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
                              lr=v("lr"), seed=v("seed") or 0, tau=v("tau"),
@@ -295,9 +299,7 @@ def cmd_evaluate(v: Resolved) -> int:
     as_int(v("batch"), "batch size", 1)
     net, _ = load_student(_require_file(v("student"), "student checkpoint"))
     test_ds = _load_pair(v, "test", True, net.arch)
-    teacher_net = None
-    if v("teacher") is not None:
-        teacher_net = load_checkpoint(_require_file(v("teacher"), "teacher checkpoint"))
+    teacher_net = None if v("teacher") is None else _load_teacher(v("teacher"), net.arch)
     resolved = {"student": str(v("student")), "tau": v("tau"), "format": v("format")}
     report = report_student(net, v("tau"), test_ds, teacher=teacher_net, config=resolved,
                             timed_batch=v("batch") if v("time") else None)

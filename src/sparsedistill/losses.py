@@ -30,7 +30,7 @@ from .errors import DomainError, ShapeError, UsageError, as_choice, as_int, as_r
 from .student import kl_svd_node, kl_vbd_node, student_logits_node
 
 __all__ = [
-    "LossConfig", "resolve_variant", "warmup_scale", "effective_lambda_v",
+    "LossConfig", "resolve_variant", "teacher_inputs", "warmup_scale", "effective_lambda_v",
     "cross_entropy_node", "hint_node",
     "BsrContext", "make_bsr_context", "bsr_node", "total_loss", "VARIANTS",
 ]
@@ -101,6 +101,18 @@ def resolve_variant(variant: str, base: LossConfig | None = None,
         raise UsageError(f"q {cfg.q} would be ignored: variant {variant!r} has no active "
                          f"l1lq term (group norm {cfg.bsr_variant}, lambda_g {cfg.lambda_g})")
     return cfg
+
+
+def teacher_inputs(cfg: LossConfig, **given) -> tuple[str, ...]:
+    """What a run of ``cfg`` needs from the teacher: ``"rows"``, its logits, when the hint
+    weight ``lambda_t`` is non-zero, and ``"weights"`` when the group weight ``lambda_g`` is.
+    A needed input passed by that name as None raises :class:`UsageError`."""
+    terms = {"rows": ("lambda_t", cfg.lambda_t, "hint"),
+             "weights": ("lambda_g", cfg.lambda_g, "group term")}
+    for name, (key, weight, term) in terms.items():
+        if weight != 0.0 and name in given and given[name] is None:
+            raise UsageError(f"{key} {weight} weights the {term}, but no teacher {name} were given")
+    return tuple(name for name, (_, weight, _) in terms.items() if weight != 0.0)
 
 
 def warmup_scale(epoch: int, warmup_epochs: int) -> float:
@@ -276,15 +288,12 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
     triples.  Returns ``(loss, parts)`` where ``parts`` maps each term
     name to its unweighted float value plus the effective KL weight.  The
     hint and group terms run exactly when their weights are non-zero, and
-    then need ``teacher_rows`` and ``bsr_ctx``; a missing one raises
+    then need ``teacher_rows`` and ``bsr_ctx`` (:func:`teacher_inputs`); a missing one raises
     :class:`UsageError`.
     """
     if rng is None:
         raise UsageError("total_loss needs an rng stream for the noise draws")
-    if cfg.lambda_t != 0.0 and teacher_rows is None:
-        raise UsageError(f"lambda_t {cfg.lambda_t} weights the hint, but no teacher rows were given")
-    if cfg.lambda_g != 0.0 and bsr_ctx is None:
-        raise UsageError(f"lambda_g {cfg.lambda_g} weights the group term, but no bsr_ctx was given")
+    teacher_inputs(cfg, rows=teacher_rows, weights=bsr_ctx)
     xb = np.asarray(xb, dtype=np.float64)
     eps_list = [rng.child(i).normal(xb.shape[0], theta.data.shape[1])
                 for i, (theta, _, _) in enumerate(param_ts)]

@@ -1,9 +1,10 @@
-"""Adam, the student training loop, evaluation, and the low-data sweep.
+"""Adam, the training loop of both networks, the student's evaluation, and the low-data sweep.
 
-Training writes two artifacts when given a log directory: ``session.jsonl``
-(one metadata line, then one line per epoch) which is byte-identical
-across runs with the same inputs, and ``timing.jsonl`` which holds the
-wall-clock numbers and is allowed to differ run to run.
+:func:`fit` trains the teacher (:func:`.teacher.train_teacher`) and the student
+(:func:`train_student`); each gives only its loss and its epoch record.  Given a log
+directory, it writes ``session.jsonl`` (one metadata line, then one line per epoch), which is
+byte-identical across runs with the same inputs wherever it is written, and ``timing.jsonl``,
+the wall-clock numbers, which may differ run to run.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from .checkpoint import parse_arch
 from .data import Dataset, batch_iter, subset_indices
 from .errors import (ConsistencyError, TrainingError, UsageError, as_choice, as_distinct,
                      as_int, as_real)
-from .losses import BsrContext, LossConfig, make_bsr_context, total_loss
+from .losses import LossConfig, make_bsr_context, teacher_inputs, total_loss
 from .metrics import (SparsityReport, compression_ratio, footprint, inference_time, json_line,
                       per_layer_sparsity_pct, remaining_parameters, sparsity_ratio, top1_error)
 from .student import StudentNet, compact, init_student, prune_masks
 from .tensor import ACTIVATIONS, ELEMENT_BLOCK, RngStream, dense_forward
 
-__all__ = ["Adam", "StudentTrainConfig", "train_student", "evaluate_student",
+__all__ = ["Adam", "StudentTrainConfig", "fit", "train_student", "evaluate_student",
            "report_student", "lowdata_sweep", "summarize_sweep"]
 
 
@@ -110,85 +111,80 @@ def _clip_global_norm(params, max_norm: float):
             g *= max_norm / norm
 
 
+def fit(params: list[Tensor], ds: Dataset, cfg, step, record, *, grad_clip: float | None = None,
+        log_dir=None, meta=None) -> list[dict]:
+    """Train ``params`` in place with :class:`Adam` for ``cfg.epochs`` epochs over ``ds`` in
+    batches shuffled by ``(cfg.seed, epoch)``; returns the per-epoch records.
+
+    ``step(xb, yb, idx, epoch, i)`` gives batch ``i``'s loss node and a part to keep; a
+    non-finite loss raises :class:`TrainingError`.  Then zero-grad, backward, the optional
+    ``grad_clip`` and the Adam step.  ``record(epoch, parts)`` makes the epoch's record from its
+    parts in step order.  ``log_dir`` gets ``session.jsonl`` and ``timing.jsonl``."""
+    opt = Adam(params, lr=cfg.lr)
+    records, timing = [], []
+    for epoch in range(cfg.epochs):
+        t0 = perf_counter()
+        parts = []
+        for i, (xb, yb, idx) in enumerate(batch_iter(ds, cfg.batch_size,
+                                                     shuffle_seed=(cfg.seed, epoch))):
+            loss, part = step(xb, yb, idx, epoch, i)
+            if not np.isfinite(loss.item()):
+                raise TrainingError(f"loss diverged at epoch {epoch} step {i}", epoch=epoch, batch=i)
+            opt.zero_grad()
+            loss.backward()
+            if grad_clip is not None:
+                _clip_global_norm(params, grad_clip)
+            opt.step()
+            parts.append(part)
+        records.append(record(epoch, parts))
+        timing.append({"epoch": epoch, "seconds": perf_counter() - t0})
+    if log_dir is not None:
+        Path(log_dir).mkdir(parents=True, exist_ok=True)
+        for name, lines in (("session", [meta(), *records]), ("timing", timing)):
+            Path(log_dir, f"{name}.jsonl").write_text("".join(json_line(r) + "\n" for r in lines))
+    return records
+
+
 def train_student(ds: Dataset, teacher_logits: np.ndarray | None,
                   loss_cfg: LossConfig, cfg: StudentTrainConfig, *,
                   teacher_weights=None, test_ds: Dataset | None = None,
                   log_dir=None):
-    """Train a student against cached teacher logits.
+    """Train a student against cached teacher logits; returns ``(net, records)``.
 
-    ``teacher_logits`` must be row-aligned with ``ds`` (pass None only
-    when the hint weight is zero).  ``teacher_weights`` is required when
-    the group regulariser is active, since its row groups span both
-    networks.  Returns ``(net, records)``.
-    """
+    ``teacher_logits``, row-aligned with ``ds``, are needed when the hint weight is non-zero,
+    and ``teacher_weights`` when the group weight is (:func:`.losses.teacher_inputs`)."""
     if teacher_logits is not None and len(teacher_logits) != len(ds):
         raise ConsistencyError(
             f"{len(teacher_logits)} cached logit rows for {len(ds)} training rows")
+    needs = teacher_inputs(loss_cfg, rows=teacher_logits, weights=teacher_weights)
 
     net = init_student(cfg.arch, cfg.seed, cfg.activation, cfg.log_sigma2_init)
-    param_ts = [(Tensor(l.theta, requires_grad=True),
-                 Tensor(l.log_sigma2, requires_grad=True),
-                 Tensor(l.bias, requires_grad=True)) for l in net.layers]
-    flat_params = [t for triple in param_ts for t in triple]
-    opt = Adam(flat_params, lr=cfg.lr)
-
-    bsr_ctx: BsrContext | None = None
-    if loss_cfg.lambda_g != 0.0:
-        if teacher_weights is None:
-            raise UsageError("group regulariser is active but no teacher weights were given")
-        bsr_ctx = make_bsr_context(teacher_weights, [l.theta.shape for l in net.layers],
-                                   loss_cfg.bsr_variant, loss_cfg.q)
-
-    session_lines = [json_line({
-        "kind": "train_session",
-        "arch": list(net.arch),
-        "n_train": len(ds),
-        "loss": asdict(loss_cfg),
-        "train": asdict(cfg),
-    })]
-    timing_lines = []
-    records = []
+    param_ts = [tuple(Tensor(a, requires_grad=True) for a in (l.theta, l.log_sigma2, l.bias))
+                for l in net.layers]
+    bsr_ctx = None if "weights" not in needs else make_bsr_context(
+        teacher_weights, [l.theta.shape for l in net.layers], loss_cfg.bsr_variant, loss_cfg.q)
     part_keys = ("ce", "hint", "kl", "bsr", "total")
 
-    for epoch in range(cfg.epochs):
-        t0 = perf_counter()
+    def step(xb, yb, idx, epoch, i):
+        rows = None if teacher_logits is None else teacher_logits[idx]
+        return total_loss(param_ts, xb, yb, rows, loss_cfg, epoch=epoch, n_train=len(ds),
+                          bsr_ctx=bsr_ctx, rng=RngStream(cfg.seed).child(5, epoch, i),
+                          activation=cfg.activation)
+
+    def record(epoch, parts):
         sums = dict.fromkeys(part_keys, 0.0)
-        lam_v_eff = 0.0
-        steps = 0
-        for xb, yb, idx in batch_iter(ds, cfg.batch_size, shuffle_seed=(cfg.seed, epoch)):
-            rows = None if teacher_logits is None else teacher_logits[idx]
-            noise = RngStream(cfg.seed).child(5, epoch, steps)
-            loss, parts = total_loss(param_ts, xb, yb, rows, loss_cfg,
-                                     epoch=epoch, n_train=len(ds),
-                                     bsr_ctx=bsr_ctx, rng=noise,
-                                     activation=cfg.activation)
-            if not np.isfinite(parts["total"]):
-                raise TrainingError(f"loss diverged at epoch {epoch} step {steps}",
-                                    epoch=epoch, batch=steps)
-            opt.zero_grad()
-            loss.backward()
-            if cfg.grad_clip is not None:
-                _clip_global_norm(flat_params, cfg.grad_clip)
-            opt.step()
+        for p in parts:  # += in step order: sum() would compensate, and move the bits
             for k in part_keys:
-                sums[k] += parts[k]
-            lam_v_eff = parts["lambda_v_eff"]
-            steps += 1
+                sums[k] += p[k]
+        out = {"epoch": epoch, "lambda_v_eff": parts[-1]["lambda_v_eff"] if parts else 0.0}
+        out.update({k: sums[k] / max(len(parts), 1) for k in part_keys})
+        out.update((k, v) for k, v in evaluate_student(net, test_ds, cfg.tau).items() if k != "tau")
+        return out
 
-        record = {"epoch": epoch, "lambda_v_eff": lam_v_eff}
-        record.update({k: sums[k] / max(steps, 1) for k in part_keys})
-        scored = evaluate_student(net, test_ds, cfg.tau)
-        del scored["tau"]
-        record.update(scored)
-        records.append(record)
-        session_lines.append(json_line(record))
-        timing_lines.append(json_line({"epoch": epoch, "seconds": perf_counter() - t0}))
-
-    if log_dir is not None:
-        log_dir = Path(log_dir)
-        log_dir.mkdir(parents=True, exist_ok=True)
-        (log_dir / "session.jsonl").write_text("\n".join(session_lines) + "\n")
-        (log_dir / "timing.jsonl").write_text("\n".join(timing_lines) + "\n")
+    records = fit([t for triple in param_ts for t in triple], ds, cfg, step, record,
+                  grad_clip=cfg.grad_clip, log_dir=log_dir,
+                  meta=lambda: {"kind": "train_session", "arch": list(net.arch), "n_train": len(ds),
+                                "loss": asdict(loss_cfg), "train": asdict(cfg)})
     return net, records
 
 

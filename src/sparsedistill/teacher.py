@@ -12,18 +12,18 @@ Checkpoints and logit caches use the artifact format of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import checkpoint
 from .autograd import Tensor
 from .checkpoint import parse_arch
-from .errors import StalenessError, TrainingError
-from .data import Dataset, batch_iter
+from .errors import StalenessError
+from .data import Dataset
 from .losses import cross_entropy_node
 from .metrics import top1_error
-from .optim import Adam, check_schedule
+from .optim import check_schedule, fit
 from .tensor import RngStream, check_layers, dense_forward
 
 __all__ = [
@@ -105,56 +105,45 @@ def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
                          net.activation)
 
 
-def _forward_node(weight_ts, bias_ts, x: np.ndarray, activation: str) -> Tensor:
-    out = Tensor(x)
-    for i, (w, b) in enumerate(zip(weight_ts, bias_ts)):
-        out = out @ w + b
-        if i < len(weight_ts) - 1:
-            out = out.relu() if activation == "relu" else out.sigmoid()
-    return out
-
-
 def count_parameters(net_or_arch) -> int:
     """Trainable parameter count: weights plus biases, layer by layer."""
     arch = net_or_arch.arch if isinstance(net_or_arch, DenseMLP) else parse_arch(net_or_arch)
     return sum(k * h + h for k, h in zip(arch[:-1], arch[1:]))
 
 
-def train_teacher(ds: Dataset, config: TeacherConfig, test_ds: Dataset | None = None):
-    """Minimise cross-entropy with Adam; returns the net and per-epoch records.
+def train_teacher(ds: Dataset, config: TeacherConfig, test_ds: Dataset | None = None, *,
+                  log_dir=None):
+    """Minimise cross-entropy with :func:`.optim.fit`; returns the net and per-epoch records.
 
     The per-epoch training error is measured on a deterministic subsample
     of at most 10000 examples to keep the curve cheap on large datasets.
+    With ``log_dir``, writes ``session.jsonl`` and ``timing.jsonl`` there.
     """
     net = init_mlp(config.arch, config.seed, config.activation)
     weight_ts = [Tensor(w, requires_grad=True) for w in net.weights]
     bias_ts = [Tensor(b, requires_grad=True) for b in net.biases]
-    opt = Adam(weight_ts + bias_ts, lr=config.lr)
     probe = min(len(ds), 10000)
 
-    records = []
-    for epoch in range(config.epochs):
-        losses = []
-        for xb, yb, _ in batch_iter(ds, config.batch_size, shuffle_seed=(config.seed, epoch)):
-            logits = _forward_node(weight_ts, bias_ts, xb, config.activation)
-            loss = cross_entropy_node(logits, yb)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"teacher loss diverged at epoch {epoch}", epoch=epoch, batch=len(losses)
-                )
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(value)
-        record = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)),
-            "train_error": float(top1_error(forward_logits(net, ds.images[:probe]), ds.labels[:probe])),
-        }
+    def step(xb, yb, idx, epoch, i):
+        out = Tensor(xb)  # forward_logits' layers, as a float64 graph
+        for j, (w, b) in enumerate(zip(weight_ts, bias_ts)):
+            out = out @ w + b
+            if j < len(weight_ts) - 1:
+                out = out.relu() if config.activation == "relu" else out.sigmoid()
+        loss = cross_entropy_node(out, yb)
+        return loss, loss.item()
+
+    def record(epoch, losses):
+        probe_logits = forward_logits(net, ds.images[:probe])
+        out = {"epoch": epoch, "train_loss": float(np.mean(losses)),
+               "train_error": float(top1_error(probe_logits, ds.labels[:probe]))}
         if test_ds is not None:
-            record["test_error"] = float(top1_error(forward_logits(net, test_ds.images), test_ds.labels))
-        records.append(record)
+            out["test_error"] = float(top1_error(forward_logits(net, test_ds.images), test_ds.labels))
+        return out
+
+    records = fit(weight_ts + bias_ts, ds, config, step, record, log_dir=log_dir, meta=lambda: {
+        "kind": "teacher_session", "arch": net.arch, "n_train": len(ds), "train": asdict(config),
+        "parameters": count_parameters(net), "digest": payload_digest(net)})
     return net, records
 
 

@@ -262,6 +262,21 @@ class TestWidthsWhereInputsEnter:
                      "--out", str(tmp_path / "s")]) == 2
         self.err_names(capsys, str(teacher), "teacher input width 9", "16 features")
 
+    def test_evaluate_teacher_widths(self, corpus, narrow, student_run, tmp_path, capsys):
+        """The compression baseline must be a teacher of the student's data and classes."""
+        for data, arch, named in ((narrow, "9-6-3", "teacher input width 9"),
+                                  (corpus, "16-6-5", "teacher output width 5")):
+            teacher = tmp_path / arch / "teacher.ckpt"
+            assert main(["train-teacher", *data_flags(data, test=False), "--arch", arch,
+                         "--epochs", "1", "--out", str(teacher.parent)]) == 0
+            report = tmp_path / arch / "report.json"
+            assert main(["evaluate", "--student", student_run["student"], "--teacher",
+                         str(teacher), *data_flags(corpus, train=False),
+                         "--out", str(report)]) == 2
+            self.err_names(capsys, str(teacher), named,
+                           "16 features" if "input" in named else "output width 3")
+            assert not report.exists()
+
     def test_teacher_logit_width(self, corpus, teacher_run, tmp_path, capsys):
         run = ["train-student", *data_flags(corpus, test=False), "--arch", "16-8-4",
                "--variant", "kd", "--epochs", "1", "--batch", "32",
@@ -271,6 +286,24 @@ class TestWidthsWhereInputsEnter:
                        "output width 4")
         # with the hint off, the teacher's logits are never compared with the student's
         assert main([*run, "--lambda-t", "0", "--out", str(tmp_path / "no-hint")]) == 0
+
+
+class TestTeacherNeededWhereFlagsEnter:
+    """A variant whose hint or group term needs a teacher, run without ``--teacher``, exits 2
+    before training and names the flags that fix it."""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--variant", "kd"], ("'kd'", "--teacher", "--lambda-t 0")),
+        (["--variant", "st-svd", "--lambda-t", "0"], ("'st-svd'", "--teacher", "group term"))])
+    def test_train_student(self, corpus, tmp_path, capsys, monkeypatch, flags, named):
+        def built(*args, **kwargs):
+            raise AssertionError("the student was built")
+        monkeypatch.setattr(sparsedistill.optim, "init_student", built)
+        assert main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                     "--epochs", "1", *flags, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert all(n in err for n in named), err
+        assert not (tmp_path / "student.ckpt").exists()
 
 
 class TestBadValuesExit2:
@@ -436,8 +469,19 @@ class TestTeacherArtifacts:
     def test_outputs_exist(self, teacher_run):
         out = teacher_run["out"]
         for name in ("teacher.ckpt", "teacher.ckpt.bin", "cache.ckpt",
-                     "cache.ckpt.bin", "session.jsonl", "config.json"):
+                     "cache.ckpt.bin", "session.jsonl", "timing.jsonl", "config.json"):
             assert (out / name).exists()
+
+    def test_session_log_does_not_depend_on_out(self, corpus, teacher_run, tmp_path):
+        out = tmp_path / "elsewhere"
+        assert main(["train-teacher", *data_flags(corpus), "--arch", "16-10-3", "--epochs", "6",
+                     "--batch", "32", "--lr", "5e-3", "--out", str(out)]) == 0
+        session = (out / "session.jsonl").read_bytes()
+        assert session == (teacher_run["out"] / "session.jsonl").read_bytes()
+        meta = json.loads(session.splitlines()[0])
+        assert set(meta) == {"kind", "arch", "n_train", "train", "parameters", "digest"}
+        assert meta["arch"] == [16, 10, 3] and meta["n_train"] == 120
+        assert meta["train"]["epochs"] == 6 and meta["train"]["batch_size"] == 32
 
     def test_session_meta_matches_manifest_digest(self, teacher_run):
         meta = json.loads((teacher_run["out"] / "session.jsonl")

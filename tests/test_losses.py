@@ -10,8 +10,8 @@ from sparsedistill.autograd import Tensor
 from sparsedistill.errors import DomainError, ShapeError, UsageError
 from sparsedistill.losses import (VARIANTS, BsrContext, LossConfig, _log_softmax, bsr_node,
                                   cross_entropy_node, effective_lambda_v, hint_node,
-                                  make_bsr_context, resolve_variant, total_loss,
-                                  warmup_scale)
+                                  make_bsr_context, resolve_variant, teacher_inputs,
+                                  total_loss, warmup_scale)
 from sparsedistill.student import init_student, kl_svd_node
 from sparsedistill.tensor import RngStream
 
@@ -196,6 +196,14 @@ class TestResolveVariant:
             resolve_variant("fancy")
         for name in VARIANTS:
             assert name in str(err.value)
+
+
+class TestTeacherInputs:
+    @pytest.mark.parametrize("variant, lambda_t, needs", [
+        ("simple", 2.0, ()), ("kd", 2.0, ("rows",)), ("kd-svd", 0.0, ()),
+        ("st-svd", 2.0, ("rows", "weights")), ("st-vbd", 0.0, ("weights",))])
+    def test_each_weighted_term_needs_its_teacher_input(self, variant, lambda_t, needs):
+        assert teacher_inputs(resolve_variant(variant, LossConfig(lambda_t=lambda_t))) == needs
 
 
 class TestWarmup:

@@ -7,7 +7,7 @@ import pytest
 
 from sparsedistill import optim
 from sparsedistill.autograd import Tensor
-from sparsedistill.data import subset_indices
+from sparsedistill.data import Dataset, subset_indices
 from sparsedistill.errors import ConsistencyError, FormatError, TrainingError, UsageError
 from sparsedistill.losses import LossConfig, resolve_variant
 from sparsedistill.optim import (Adam, StudentTrainConfig, _clip_global_norm, evaluate_student,
@@ -16,7 +16,7 @@ from sparsedistill.metrics import (compression_ratio, footprint, remaining_param
                                    top1_error)
 from sparsedistill.student import (compact, init_student, prune_masks, student_digest,
                                    student_logits)
-from sparsedistill.teacher import count_parameters, init_mlp
+from sparsedistill.teacher import TeacherConfig, count_parameters, init_mlp, train_teacher
 from sparsedistill.tensor import ELEMENT_BLOCK
 
 from conftest import make_blobs
@@ -220,16 +220,21 @@ class TestTrainStudent:
         with pytest.raises(ConsistencyError):
             train_student(ds, logits, LossConfig(), quick_cfg())
 
-    def test_hint_without_cache_is_rejected(self):
-        ds = blob_dataset()
-        with pytest.raises(UsageError):
-            train_student(ds, None, LossConfig(lambda_t=2.0), quick_cfg())
+    @staticmethod
+    def refuse_before_the_student_is_built(monkeypatch, cfg, named):
+        def built(*args, **kwargs):
+            raise AssertionError("the student was built")
+        monkeypatch.setattr(optim, "init_student", built)
+        with pytest.raises(UsageError, match=named):
+            train_student(blob_dataset(), None, cfg, quick_cfg())
 
-    def test_group_norm_without_teacher_weights_is_rejected(self):
-        ds = blob_dataset()
+    def test_hint_without_cache_is_rejected(self, monkeypatch):
+        self.refuse_before_the_student_is_built(monkeypatch, LossConfig(lambda_t=2.0),
+                                                "lambda_t 2.0")
+
+    def test_group_norm_without_teacher_weights_is_rejected(self, monkeypatch):
         cfg = LossConfig(lambda_t=0.0, lambda_g=0.01, bsr_variant="l1lq")
-        with pytest.raises(UsageError):
-            train_student(ds, None, cfg, quick_cfg())
+        self.refuse_before_the_student_is_built(monkeypatch, cfg, "lambda_g 0.01")
 
     def test_record_structure(self):
         ds = blob_dataset()
@@ -308,6 +313,18 @@ class TestTrainStudent:
         net_b, _ = train_student(ds, None, cfg, quick_cfg(epochs=1, grad_clip=1e-3))
         assert student_digest(net_a) != student_digest(net_b)
 
+
+
+@pytest.mark.parametrize("train", [
+    lambda ds: train_teacher(ds, TeacherConfig(arch=[4, 3, 2], epochs=2, batch_size=16)),
+    lambda ds: train_student(ds, None, resolve_variant("kd-vbd", LossConfig(lambda_t=0.0)),
+                             quick_cfg(arch=[4, 3, 2], batch_size=16)),
+], ids=["teacher", "student"])
+def test_non_finite_batch_stops_either_network_at_its_step(train):
+    ds = Dataset(np.full((32, 4), np.nan), np.zeros(32, dtype=np.int64))
+    with pytest.raises(TrainingError) as err:
+        train(ds)
+    assert (err.value.epoch, err.value.batch) == (0, 0)
 
 class TestEvaluateStudent:
     def test_repeat_evaluation_is_identical(self):

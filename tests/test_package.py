@@ -1,5 +1,5 @@
 """Package surface: every exported name resolves, modules use each other's public names only,
-and every package name the benchmark scripts read exists."""
+only ``optim`` runs a training loop, and every package name the benchmark scripts read exists."""
 
 import ast
 import importlib
@@ -77,6 +77,33 @@ def test_the_scan_sees_private_imports(tmp_path):
                     "from sparsedistill.student import _compact\ncheckpoint._digest()\n")
     assert private_imports(path) == ["sparsedistill.optim._score", "sparsedistill.student._compact",
                                      "sparsedistill.checkpoint._digest"]
+
+
+def loop_calls(path: Path) -> list[str]:
+    """The calls in ``path`` that only a training loop makes: an ``Adam`` constructed, and a
+    ``.backward()``, each as ``name:line``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "Adam" or (name == "backward" and isinstance(func, ast.Attribute)):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__", "__main__"])
+def test_only_optim_runs_a_training_loop(module):
+    calls = sorted(c.split(":")[0] for c in loop_calls(PACKAGE / f"{module}.py"))
+    assert calls == (["Adam", "backward"] if module == "optim" else [])
+
+
+def test_the_loop_scan_sees_adam_and_backward(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from .optim import Adam\nfrom . import optim\nopt = Adam([])\n"
+                    "opt2 = optim.Adam([])\nloss.backward()\nloss._backward(g)\nbackward()\n")
+    assert sorted(loop_calls(path)) == ["Adam:3", "Adam:4", "backward:5"]
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in BENCHMARK.glob("*.py")))
