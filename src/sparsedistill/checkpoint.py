@@ -74,10 +74,6 @@ def read_manifest(path) -> dict:
     return entries
 
 
-def _payload(arrays) -> bytes:
-    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-
-
 def digest(arrays) -> str:
     """SHA-256 of the payload that holds ``arrays``, hashed array by array without a copy."""
     sha = hashlib.sha256()
@@ -94,13 +90,16 @@ def write_artifact(base_path, kind: str, fields: dict, arrays) -> str:
     """
     base_path = Path(base_path)
     base_path.parent.mkdir(parents=True, exist_ok=True)
-    payload = _payload(arrays)
-    sha = hashlib.sha256(payload).hexdigest()
-    (base_path.parent / (base_path.name + ".bin")).write_bytes(payload)
+    sha = hashlib.sha256()
+    with open(base_path.parent / (base_path.name + ".bin"), "wb") as out:
+        for a in arrays:  # hashed and written one array at a time, without a payload copy
+            a = np.ascontiguousarray(a, dtype="<f8")
+            sha.update(a)
+            out.write(a)
     entries = {"kind": kind, **{k: "" if fields[k] is None else fields[k] for k in _FIELDS[kind]},
-               "digest": sha}
+               "digest": sha.hexdigest()}
     base_path.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
-    return sha
+    return entries["digest"]
 
 
 def _count(text: str) -> int:
@@ -133,11 +132,14 @@ def read_artifact(base_path, kind: str) -> tuple[dict, list[np.ndarray]]:
     (``relu`` when absent), ``seed`` and, for the student, ``tau`` (None
     when empty), and their arrays in payload order.  A cache gives
     ``rows``, ``cols`` and ``teacher_digest`` and its one logit matrix.
+    Every kind also gives ``digest``, which the payload was checked against,
+    so it equals :func:`digest` of the arrays.  The arrays are read-only
+    views of the payload that was hashed; copy one before editing it.
     """
     manifest = read_manifest(base_path)
     if manifest.get("kind") != kind:
         raise FormatError(f"{base_path}: not a {kind} checkpoint ({manifest.get('kind')!r})")
-    fields = {key: _field(manifest, base_path, key) for key in _FIELDS[kind]}
+    fields = {key: _field(manifest, base_path, key) for key in (*_FIELDS[kind], "digest")}
     if kind == "logit_cache":
         shapes = [(fields["rows"], fields["cols"])]
     else:
@@ -145,19 +147,18 @@ def read_artifact(base_path, kind: str) -> tuple[dict, list[np.ndarray]]:
         layers = list(zip(arch[:-1], arch[1:]))
         shapes = [s for k, h in layers for s in ((k, h), (h,))]
         shapes += layers if kind == "variational_mlp" else []
-    sha = _field(manifest, base_path, "digest")
 
     bin_path = Path(str(base_path) + ".bin")
     raw = bin_path.read_bytes()
     expected = 8 * sum(math.prod(s) for s in shapes)
     if len(raw) != expected:
         raise LengthError(f"{bin_path}: manifest shapes imply {expected} bytes, found {len(raw)}")
-    if hashlib.sha256(raw).hexdigest() != sha:
+    if hashlib.sha256(raw).hexdigest() != fields["digest"]:
         raise ConsistencyError(f"{bin_path}: payload digest does not match manifest")
-    flat = np.frombuffer(raw, dtype="<f8")
+    flat = np.frombuffer(raw, dtype="<f8")  # read-only, as ``raw`` is immutable
     arrays, pos = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        arrays.append(flat[pos:pos + size].reshape(shape).copy())
+        arrays.append(flat[pos:pos + size].reshape(shape))
         pos += size
     return fields, arrays

@@ -1,10 +1,12 @@
 """Deterministic dense MLP teacher: training, checkpoints, and logit cache.
 
-The teacher is trained once with plain cross-entropy and then frozen; its
-raw (pre-softmax) logits over a dataset are precomputed and stored so
-student training can look hints up by row index instead of re-running the
-teacher every step.  Temperature scaling happens at loss time, so a single
-cache serves any temperature.
+The teacher is trained once with plain cross-entropy and then frozen: the
+net :func:`train_teacher` returns, and every net :func:`load_checkpoint`
+gives, has read-only arrays, so its float32 weights and its payload digest
+are computed once and kept.  Its raw (pre-softmax) logits over a dataset
+are precomputed and stored so student training can look hints up by row
+index instead of re-running the teacher every step.  Temperature scaling
+happens at loss time, so a single cache serves any temperature.
 
 Checkpoints and logit caches use the artifact format of
 :mod:`.checkpoint`.
@@ -45,12 +47,19 @@ __all__ = [
 
 @dataclass
 class DenseMLP:
-    """Stack of (weights, bias) layers with a fixed hidden nonlinearity."""
+    """Stack of (weights, bias) layers with a fixed hidden nonlinearity.
+
+    The net is *frozen* when every weight and bias array is read-only
+    (``flags.writeable`` False); values derived from a frozen net's arrays
+    are kept on it (:func:`_derived`).  To change a frozen net, replace an
+    array: one made writable again and edited would leave those values stale.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = "relu"
     seed: int | None = None
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_layers(self.weights, self.biases)
@@ -97,12 +106,26 @@ def init_mlp(arch, seed: int, activation: str = "relu") -> DenseMLP:
     return DenseMLP(weights, biases, activation=activation, seed=seed)
 
 
+def _derived(net: DenseMLP, name: str, arrays: list[np.ndarray], compute):
+    """``compute(arrays)``, computed once per frozen ``net`` and kept on it under ``name``
+    beside the arrays it came from, so a replaced array gets a fresh value.  A live net's
+    arrays can change in place (Adam updates them), so its value is computed on every call."""
+    if any(a.flags.writeable for a in _arrays(net)):
+        return compute(arrays)
+    kept = net._kept.get(name)  # (arrays, value): holding the arrays keeps their ids unique
+    if kept is None or list(map(id, kept[0])) != list(map(id, arrays)):
+        kept = net._kept[name] = (list(arrays), compute(arrays))
+    return kept[1]
+
+
 def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
     """Pre-softmax outputs as float64, from float32 products in the row blocks of
-    :func:`.tensor.dense_forward`.  The float32 weights are cast on every call, not kept:
-    :func:`train_teacher` updates ``net.weights`` in place, so a kept copy would go stale."""
-    return dense_forward(batch, [w.astype(np.float32) for w in net.weights], net.biases,
-                         net.activation)
+    :func:`.tensor.dense_forward`.  A frozen teacher's float32 weights are cast once and kept
+    as long as the teacher (9.6 MB for 784-1200-1200-10); a live net's are cast on every call,
+    so that they follow in-place updates."""
+    weights = _derived(net, "float32", net.weights,
+                       lambda ws: [w.astype(np.float32) for w in ws])
+    return dense_forward(batch, weights, net.biases, net.activation)
 
 
 def count_parameters(net_or_arch) -> int:
@@ -113,7 +136,8 @@ def count_parameters(net_or_arch) -> int:
 
 def train_teacher(ds: Dataset, config: TeacherConfig, test_ds: Dataset | None = None, *,
                   log_dir=None):
-    """Minimise cross-entropy with :func:`.optim.fit`; returns the net and per-epoch records.
+    """Minimise cross-entropy with :func:`.optim.fit`; returns the net, frozen, and per-epoch
+    records.
 
     The per-epoch training error is measured on a deterministic subsample
     of at most 10000 examples to keep the curve cheap on large datasets.
@@ -144,6 +168,8 @@ def train_teacher(ds: Dataset, config: TeacherConfig, test_ds: Dataset | None = 
     records = fit(weight_ts + bias_ts, ds, config, step, record, log_dir=log_dir, meta=lambda: {
         "kind": "teacher_session", "arch": net.arch, "n_train": len(ds), "train": asdict(config),
         "parameters": count_parameters(net), "digest": payload_digest(net)})
+    for a in _arrays(net):
+        a.flags.writeable = False
     return net, records
 
 
@@ -161,7 +187,8 @@ def _arrays(net: DenseMLP) -> list[np.ndarray]:
 
 
 def payload_digest(net: DenseMLP) -> str:
-    return checkpoint.digest(_arrays(net))
+    """:func:`.checkpoint.digest` of the payload, computed once for a frozen net."""
+    return _derived(net, "digest", _arrays(net), checkpoint.digest)
 
 
 def save_checkpoint(net: DenseMLP, base_path) -> str:
@@ -174,9 +201,13 @@ def save_checkpoint(net: DenseMLP, base_path) -> str:
 
 
 def load_checkpoint(base_path) -> DenseMLP:
+    """The teacher at ``base_path``, frozen: its arrays are read-only views of the payload,
+    and its digest is the one the payload was checked against."""
     fields, arrays = checkpoint.read_artifact(base_path, "dense_mlp")
-    return DenseMLP(arrays[0::2], arrays[1::2], activation=fields["activation"],
-                    seed=fields["seed"])
+    net = DenseMLP(arrays[0::2], arrays[1::2], activation=fields["activation"],
+                   seed=fields["seed"])
+    _derived(net, "digest", arrays, lambda _: fields["digest"])
+    return net
 
 
 def save_logit_cache(cache: LogitCache, base_path):

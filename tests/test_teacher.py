@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from sparsedistill import checkpoint
+from sparsedistill import teacher as teacher_module
 from sparsedistill.checkpoint import parse_arch, read_manifest, write_artifact
 from sparsedistill.data import Dataset
 from sparsedistill.errors import (ConsistencyError, FormatError, LengthError,
@@ -11,7 +13,8 @@ from sparsedistill.teacher import (DenseMLP, TeacherConfig, count_parameters,
                                    forward_logits, init_mlp, load_checkpoint,
                                    load_logit_cache, payload_digest, precompute_logits,
                                    save_checkpoint, save_logit_cache, train_teacher)
-from sparsedistill.tensor import relu, sigmoid
+from sparsedistill.student import init_student, load_student, save_student
+from sparsedistill.tensor import dense_forward, relu, sigmoid
 
 from conftest import make_blobs
 
@@ -306,3 +309,102 @@ class TestCheckpoints:
         back = read_manifest(tmp_path / "m.txt")
         assert back == {"kind": "dense_mlp", "architecture": "6-5-3", "activation": "relu",
                         "seed": "", "digest": sha}
+
+    def test_payload_is_each_array_as_contiguous_float64(self, tmp_path):
+        # the payload is written array by array: a transposed view and a float32 array are
+        # stored as row-major little-endian float64, as one joined copy would hold them
+        arrays = [np.arange(6.0).reshape(2, 3).T, np.array([0.5, -1.25], dtype=np.float32)]
+        sha = write_artifact(tmp_path / "t.ckpt", "dense_mlp",
+                             {"architecture": "3-2", "activation": "relu", "seed": 0}, arrays)
+        want = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+        assert (tmp_path / "t.ckpt.bin").read_bytes() == want
+        loaded = load_checkpoint(tmp_path / "t.ckpt")
+        assert sha == checkpoint.digest(arrays) == payload_digest(loaded)
+
+
+def trained_and_loaded(tmp_path):
+    """A teacher as ``train_teacher`` returns it, and the same teacher loaded back."""
+    net, _ = train_teacher(make_blobs(64, 6, 3, seed=5),
+                           TeacherConfig(arch=[6, 5, 3], epochs=2, batch_size=32, seed=0))
+    save_checkpoint(net, tmp_path / "t.ckpt")
+    return net, load_checkpoint(tmp_path / "t.ckpt")
+
+
+def payload_arrays(net):
+    return [a for wb in zip(net.weights, net.biases) for a in wb]
+
+
+def writable_copy(net):
+    return DenseMLP([w.copy() for w in net.weights], [b.copy() for b in net.biases],
+                    activation=net.activation, seed=net.seed)
+
+
+class TestFrozenTeacher:
+    """A trained or loaded teacher is read-only, and its float32 weights and digest are kept."""
+
+    def test_trained_and_loaded_teachers_refuse_writes(self, tmp_path):
+        trained, loaded_teacher = trained_and_loaded(tmp_path)
+        for net in (trained, loaded_teacher):
+            for a in net.weights + net.biases:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+        # a loaded cache and student are read-only views too
+        cache = precompute_logits(trained, make_blobs(4, 6, 3, seed=0))
+        save_logit_cache(cache, tmp_path / "c.ckpt")
+        save_student(init_student([6, 4, 3], seed=1), tmp_path / "s.ckpt")
+        loaded = [load_logit_cache(tmp_path / "c.ckpt").logits]
+        loaded += [a for l in load_student(tmp_path / "s.ckpt")[0].layers
+                   for a in (l.theta, l.log_sigma2, l.bias)]
+        assert not any(a.flags.writeable for a in loaded)
+
+    def test_frozen_forward_equals_a_writable_copy_and_casts_once(self, tmp_path, monkeypatch):
+        nets, calls = trained_and_loaded(tmp_path), []
+
+        def spy(x, weights, *args):
+            calls.append(weights)
+            return dense_forward(x, weights, *args)
+        monkeypatch.setattr(teacher_module, "dense_forward", spy)
+        x = np.random.default_rng(6).random((1025, 6))
+        for net in nets:
+            live = writable_copy(net)
+            for n in (1, 100, 1025):
+                np.testing.assert_array_equal(forward_logits(net, x[:n]),
+                                              forward_logits(live, x[:n]))
+            frozen, cast = calls[0::2], calls[1::2]
+            assert all(w.dtype == np.float32 for w in frozen[0])
+            assert all(a is b for ws in frozen[1:] for a, b in zip(frozen[0], ws))
+            assert not any(a is b for ws in cast[1:] for a, b in zip(cast[0], ws))
+            calls.clear()
+
+    def test_replacing_an_array_gives_fresh_values(self, tmp_path):
+        for net in trained_and_loaded(tmp_path):
+            x = np.random.default_rng(7).random((20, 6))
+            before, digest = forward_logits(net, x), payload_digest(net)
+            w = net.weights[0] * 2.0
+            w.flags.writeable = False
+            net.weights[0] = w
+            after = forward_logits(net, x)
+            assert not np.array_equal(after, before)
+            np.testing.assert_array_equal(after, forward_logits(writable_copy(net), x))
+            assert payload_digest(net) != digest
+            assert payload_digest(net) == checkpoint.digest(payload_arrays(net))
+
+    def test_loaded_digest_is_the_verified_one(self, tmp_path, monkeypatch):
+        net = init_mlp([6, 5, 3], seed=4)
+        save_checkpoint(net, tmp_path / "t.ckpt")
+        loaded = load_checkpoint(tmp_path / "t.ckpt")
+        monkeypatch.setattr(checkpoint, "digest", lambda arrays: pytest.fail("digest recomputed"))
+        digest = payload_digest(loaded)
+        monkeypatch.undo()
+        assert digest == checkpoint.digest(payload_arrays(loaded))
+
+    def test_live_net_follows_in_place_edits(self):
+        # the training record and the benchmark's tracer read nets that Adam updates in place
+        net = init_mlp([6, 5, 3], seed=8)
+        x = np.random.default_rng(8).random((10, 6))
+        before = forward_logits(net, x)
+        net.weights[0] *= 2.0
+        net.biases[0] += 0.5
+        after = forward_logits(net, x)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, float32_forward(net, x, relu))
