@@ -10,18 +10,19 @@ alone is its node's ``.item()``), plus pruning masks, forward
 passes for training (a graph of noisy layers, via the local
 reparameterisation trick) and evaluation (deterministic, masked, with the
 weight rows the masks prune entirely skipped), and checkpoint round-tripping.
+A loaded student is frozen: its masks and compacted layers are computed once and kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checkpoint
 from .autograd import Tensor
-from .errors import ConsistencyError
-from .tensor import ELEMENT_BLOCK, check_layers, dense_forward
+from .errors import ConsistencyError, DomainError, as_real
+from .tensor import ELEMENT_BLOCK, check_layers, dense_forward, derived
 
 __all__ = [
     "K1", "K2", "K3", "LOG_ALPHA_CLAMP",
@@ -68,9 +69,20 @@ class VariationalDenseLayer:
 
 @dataclass
 class StudentNet:
+    """Stack of variational layers with a fixed hidden nonlinearity.
+
+    The net is *frozen* when every ``theta``, ``log_sigma2`` and ``bias`` array is read-only,
+    as :func:`load_student` gives it; a live net, such as :func:`init_student`'s or the one
+    training updates in place, has writable arrays.  A frozen net keeps the masks of the last
+    ``tau`` given to :func:`prune_masks` and the compaction of those masks
+    (:func:`.tensor.derived`).  To change a frozen net, replace an array: one made writable
+    again and edited would leave those values stale.
+    """
+
     layers: list[VariationalDenseLayer]
     activation: str = "relu"
     seed: int | None = None
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_layers([l.theta for l in self.layers], [l.bias for l in self.layers])
@@ -101,14 +113,22 @@ def alpha_log(theta: np.ndarray, log_sigma2: np.ndarray) -> np.ndarray:
 
 
 def prune_mask(layer: VariationalDenseLayer, tau: float) -> np.ndarray:
-    """True where a weight survives (log alpha <= tau)."""
+    """True where a weight survives (log alpha <= tau).  ``tau`` is a real number, or +-inf;
+    anything else raises :class:`DomainError`."""
+    tau = as_real(tau, "tau", inf=True, error=DomainError)
     if np.isposinf(tau):
         return np.ones(layer.theta.shape, dtype=bool)
     return alpha_log(layer.theta, layer.log_sigma2) <= tau
 
 
 def prune_masks(net: StudentNet, tau: float) -> list[np.ndarray]:
-    return [prune_mask(layer, tau) for layer in net.layers]
+    """Every layer's :func:`prune_mask`.  A frozen net computes them once per ``tau`` and
+    returns them read-only; a new ``tau`` replaces the kept masks.  A live net's are computed
+    on every call, and are writable."""
+    tau = as_real(tau, "tau", inf=True, error=DomainError)
+    masks = derived(net, "masks", [a for l in net.layers for a in (l.theta, l.log_sigma2)],
+                    lambda _: [prune_mask(layer, tau) for layer in net.layers], tag=tau)
+    return list(masks)
 
 
 # -- KL penalties over log-alpha ----------------------------------------------
@@ -197,10 +217,17 @@ def compact(net: StudentNet, masks):
     """``(weights, biases, cols)``: the masked layers without the weight rows the masks prune
     entirely, of input features (``cols`` keeps the rest, or is None) and of hidden units (their
     columns leave the layer before).  Each dropped term is ``x * 0``.  A layer that loses
-    nothing is only multiplied by its mask, not indexed; without masks nothing is copied."""
+    nothing is only multiplied by its mask, not indexed; without masks nothing is copied.
+    A frozen net given read-only masks, as its :func:`prune_masks` are, computes this once
+    for those masks and returns it read-only; writable masks are compacted on every call."""
     thetas, biases = [l.theta for l in net.layers], [l.bias for l in net.layers]
     if masks is None:
-        return thetas, biases, None
+        return tuple(thetas), tuple(biases), None
+    return derived(net, "compact", [*thetas, *biases, *masks],
+                   lambda _: _compact(thetas, biases, masks))
+
+
+def _compact(thetas, biases, masks):
     keep = [None if k.all() else k for k in (np.any(m, axis=1) for m in masks)] + [None]
     weights = []
     for i, (theta, mask) in enumerate(zip(thetas, masks)):
@@ -210,7 +237,7 @@ def compact(net: StudentNet, masks):
         if cols is not None:
             theta, mask, biases[i] = theta[:, cols], mask[:, cols], biases[i][cols]
         weights.append(theta * mask)
-    return weights, biases, keep[0]
+    return tuple(weights), tuple(biases), keep[0]
 
 
 def student_logits(net: StudentNet, x: np.ndarray, *,

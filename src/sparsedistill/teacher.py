@@ -26,7 +26,7 @@ from .data import Dataset
 from .losses import cross_entropy_node
 from .metrics import top1_error
 from .optim import check_schedule, fit
-from .tensor import RngStream, check_layers, dense_forward
+from .tensor import RngStream, check_layers, dense_forward, derived
 
 __all__ = [
     "DenseMLP",
@@ -51,8 +51,8 @@ class DenseMLP:
 
     The net is *frozen* when every weight and bias array is read-only
     (``flags.writeable`` False); values derived from a frozen net's arrays
-    are kept on it (:func:`_derived`).  To change a frozen net, replace an
-    array: one made writable again and edited would leave those values stale.
+    are kept on it (:func:`.tensor.derived`).  To change a frozen net, replace
+    an array: one made writable again and edited would leave those values stale.
     """
 
     weights: list[np.ndarray]
@@ -106,25 +106,12 @@ def init_mlp(arch, seed: int, activation: str = "relu") -> DenseMLP:
     return DenseMLP(weights, biases, activation=activation, seed=seed)
 
 
-def _derived(net: DenseMLP, name: str, arrays: list[np.ndarray], compute):
-    """``compute(arrays)``, computed once per frozen ``net`` and kept on it under ``name``
-    beside the arrays it came from, so a replaced array gets a fresh value.  A live net's
-    arrays can change in place (Adam updates them), so its value is computed on every call."""
-    if any(a.flags.writeable for a in _arrays(net)):
-        return compute(arrays)
-    kept = net._kept.get(name)  # (arrays, value): holding the arrays keeps their ids unique
-    if kept is None or list(map(id, kept[0])) != list(map(id, arrays)):
-        kept = net._kept[name] = (list(arrays), compute(arrays))
-    return kept[1]
-
-
 def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
     """Pre-softmax outputs as float64, from float32 products in the row blocks of
     :func:`.tensor.dense_forward`.  A frozen teacher's float32 weights are cast once and kept
     as long as the teacher (9.6 MB for 784-1200-1200-10); a live net's are cast on every call,
     so that they follow in-place updates."""
-    weights = _derived(net, "float32", net.weights,
-                       lambda ws: [w.astype(np.float32) for w in ws])
+    weights = derived(net, "float32", net.weights, lambda ws: [w.astype(np.float32) for w in ws])
     return dense_forward(batch, weights, net.biases, net.activation)
 
 
@@ -188,16 +175,19 @@ def _arrays(net: DenseMLP) -> list[np.ndarray]:
 
 def payload_digest(net: DenseMLP) -> str:
     """:func:`.checkpoint.digest` of the payload, computed once for a frozen net."""
-    return _derived(net, "digest", _arrays(net), checkpoint.digest)
+    return derived(net, "digest", _arrays(net), checkpoint.digest)
 
 
 def save_checkpoint(net: DenseMLP, base_path) -> str:
-    """Write manifest at ``base_path`` and payload at ``base_path + '.bin'``."""
-    return checkpoint.write_artifact(base_path, "dense_mlp", {
+    """Write manifest at ``base_path`` and payload at ``base_path + '.bin'``; returns the
+    payload digest, which a frozen net keeps as its :func:`payload_digest`."""
+    digest = checkpoint.write_artifact(base_path, "dense_mlp", {
         "architecture": "-".join(str(w) for w in net.arch),
         "activation": net.activation,
         "seed": net.seed,
     }, _arrays(net))
+    derived(net, "digest", _arrays(net), lambda _: digest)
+    return digest
 
 
 def load_checkpoint(base_path) -> DenseMLP:
@@ -206,7 +196,7 @@ def load_checkpoint(base_path) -> DenseMLP:
     fields, arrays = checkpoint.read_artifact(base_path, "dense_mlp")
     net = DenseMLP(arrays[0::2], arrays[1::2], activation=fields["activation"],
                    seed=fields["seed"])
-    _derived(net, "digest", arrays, lambda _: fields["digest"])
+    derived(net, "digest", arrays, lambda _: fields["digest"])
     return net
 
 

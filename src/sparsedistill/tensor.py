@@ -3,7 +3,8 @@
 All stochastic behaviour flows through :class:`RngStream`, a splittable
 counter-based generator, so results are reproducible bit-for-bit from a
 seed.  :data:`ACTIVATIONS` names the hidden nonlinearities; :func:`check_layers` and
-:func:`dense_forward` check and run a stack of dense layers, for the teacher and the student alike.
+:func:`dense_forward` check and run a stack of dense layers, for the teacher and the student alike,
+and :func:`derived` keeps what a frozen network computes from its read-only arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ShapeError
 
-__all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS", "check_layers", "dense_forward"]
+__all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS", "check_layers", "dense_forward",
+           "derived"]
 
 _FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB in float64
 # elements per block of the flat elementwise loops (Adam's update, the KL penalty): a block's
@@ -117,3 +119,33 @@ def dense_forward(x, weights, biases, activation: str, cols=None) -> np.ndarray:
         np.matmul(h, weights[-1], out=block)  # computed in h's type, stored as float64
         block += biases[-1]
     return out
+
+
+def derived(net, name: str, arrays, compute, tag=None):
+    """``compute(arrays)``, kept on ``net`` when every one of ``arrays``, those it is computed
+    from, is a read-only array: a frozen network computes each such value once.
+
+    The value is kept in ``net._kept[name]`` beside the arrays and the ``tag`` it came from,
+    with its own arrays made read-only; a replaced array or another ``tag`` computes a fresh
+    value, which replaces it, so each ``name`` holds one value.  A writable array can change in
+    place (Adam updates a live network's arrays), so then the value is computed on every call.
+    An array made writable again and edited in place would leave the kept value stale.
+    """
+    arrays = list(arrays)
+    if not all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays):
+        return compute(arrays)
+    kept = net._kept.get(name)  # (arrays, tag, value): holding the arrays keeps their ids unique
+    if kept is None or kept[1] != tag or list(map(id, kept[0])) != list(map(id, arrays)):
+        value = compute(arrays)
+        _read_only(value)
+        kept = net._kept[name] = (arrays, tag, value)
+    return kept[2]
+
+
+def _read_only(value) -> None:
+    """Mark every array in ``value``, an array or a nest of lists and tuples, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _read_only(v)

@@ -236,6 +236,22 @@ class TestTrainStudent:
         cfg = LossConfig(lambda_t=0.0, lambda_g=0.01, bsr_variant="l1lq")
         self.refuse_before_the_student_is_built(monkeypatch, cfg, "lambda_g 0.01")
 
+    def test_returned_net_is_live(self):
+        # the benchmark's input generator sparsifies this net by writing log_sigma2 in place
+        net, _ = train_student(blob_dataset(), None, resolve_variant("simple"), quick_cfg())
+        assert all(a.flags.writeable for l in net.layers for a in (l.theta, l.log_sigma2, l.bias))
+        x = blob_dataset(n=20, seed=3).images
+        before = student_logits(net, x, masks=prune_masks(net, 3.0))
+        first, last = net.layers
+        gone = np.arange(first.theta.size).reshape(first.shape) % 2 == 0
+        first.log_sigma2[...] = np.log(np.square(first.theta)) + np.where(gone, 5.0, -2.0)
+        masks = prune_masks(net, 3.0)
+        np.testing.assert_array_equal(masks[0], ~gone)
+        logits = student_logits(net, x, masks=masks)
+        assert not np.array_equal(logits, before)
+        h = np.maximum(x @ (first.theta * masks[0]) + first.bias, 0.0)
+        np.testing.assert_allclose(logits, h @ (last.theta * masks[1]) + last.bias, rtol=1e-12)
+
     def test_record_structure(self):
         ds = blob_dataset()
         test = blob_dataset(n=30, seed=1)

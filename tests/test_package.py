@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, modules use each other's public names only,
-only ``optim`` runs a training loop, and every package name the benchmark scripts read exists."""
+only ``optim`` runs a training loop, only ``tensor.derived`` keeps values on a network, and every
+package name the benchmark scripts read exists."""
 
 import ast
 import importlib
@@ -104,6 +105,38 @@ def test_the_loop_scan_sees_adam_and_backward(tmp_path):
     path.write_text("from .optim import Adam\nfrom . import optim\nopt = Adam([])\n"
                     "opt2 = optim.Adam([])\nloss.backward()\nloss._backward(g)\nbackward()\n")
     assert sorted(loop_calls(path)) == ["Adam:3", "Adam:4", "backward:5"]
+
+
+def kept_uses(path: Path) -> list[str]:
+    """``function:line`` for each use in ``path`` of a ``_kept`` attribute (``net._kept``, or
+    the name as a string, as ``getattr`` takes it), named by the innermost function around it."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "_kept"
+                    or isinstance(child, ast.Constant) and child.value == "_kept"):
+                found.append(f"{function}:{child.lineno}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if named else function)
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__", "__main__"])
+def test_only_the_shared_helper_keeps_values(module):
+    functions = {use.split(":")[0] for use in kept_uses(PACKAGE / f"{module}.py")}
+    assert functions == ({"derived"} if module == "tensor" else set())
+
+
+def test_the_kept_scan_sees_every_use(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("class Net:\n    _kept: dict = None\n"
+                    "def derived(net):\n    return net._kept\n"
+                    "def forward(net):\n    net._kept['w'] = 1\n"
+                    "    f = lambda: getattr(net, '_kept')\n"
+                    "kept = Net()._kept\n")
+    assert kept_uses(path) == ["derived:4", "forward:6", "<lambda>:7", "<module>:8"]
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in BENCHMARK.glob("*.py")))

@@ -5,7 +5,9 @@ import pytest
 
 import reference_autograd
 from sparsedistill.autograd import Tensor
-from sparsedistill.errors import ConsistencyError, FormatError, ShapeError
+from sparsedistill import student as student_module
+from sparsedistill.errors import ConsistencyError, DomainError, FormatError, ShapeError
+from sparsedistill.optim import evaluate_student
 from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
                                    VariationalDenseLayer, _THETA_SQ_FLOOR, compact,
                                    alpha_log, init_student, kl_svd_node, kl_vbd_node,
@@ -13,9 +15,9 @@ from sparsedistill.student import (K1, K2, K3, LOG_ALPHA_CLAMP, StudentNet,
                                    prune_masks, save_student, student_digest,
                                    student_logits, student_logits_node)
 from sparsedistill.teacher import save_checkpoint, init_mlp
-from sparsedistill.tensor import ACTIVATIONS, ELEMENT_BLOCK, RngStream, relu
+from sparsedistill.tensor import ACTIVATIONS, ELEMENT_BLOCK, RngStream, dense_forward, relu
 
-from conftest import (assert_matches_reference, finite_difference_check, kl_value,
+from conftest import (assert_matches_reference, finite_difference_check, kl_value, make_blobs,
                       net_param_tensors)
 
 # Frozen single-weight penalty values from tests/make_oracles.py (50-digit
@@ -164,6 +166,16 @@ class TestPruneMask:
         for tau in (3.0, -50.0, np.inf):
             assert all(m.dtype == bool for m in prune_masks(net, tau))
 
+    @pytest.mark.parametrize("tau", [float("nan"), True, np.bool_(False), "3", None])
+    def test_tau_must_be_a_real_number(self, tau):
+        net = init_student([6, 4, 3], seed=0)
+        with pytest.raises(DomainError, match="tau must be a real number"):
+            prune_masks(net, tau)
+        with pytest.raises(DomainError, match="tau must be a real number"):
+            prune_mask(net.layers[0], tau)
+        assert not any(m.any() for m in prune_masks(net, -np.inf))
+        assert all(m.all() for m in prune_masks(net, np.int64(40)))
+
 
 def masked_chain(net, x, masks):
     """The masked dense forward: every layer ``x @ (theta * mask) + b``."""
@@ -255,6 +267,124 @@ class TestCompactedForward:
         after = [a for l in net.layers for a in (l.theta, l.log_sigma2, l.bias)]
         for a, b in zip(after + masks + [x], before + masks_before + [x_before]):
             np.testing.assert_array_equal(a, b)
+
+
+def sparse_student(seed=3):
+    """A 12-9-4 student with about half of its weights past tau 3, three input rows of layer 0
+    pruned whole, and non-zero biases."""
+    rng = np.random.default_rng(seed)
+    net = init_student([12, 9, 4], seed=seed)
+    for layer in net.layers:
+        gone = rng.random(layer.shape) < 0.5
+        layer.log_sigma2 = np.log(np.square(layer.theta)) + np.where(gone, 5.0, -2.0)
+        layer.bias = rng.normal(size=layer.bias.shape)
+    net.layers[0].log_sigma2[[0, 4, 7]] = 40.0
+    return net
+
+
+def frozen_student(tmp_path, seed=3):
+    save_student(sparse_student(seed), tmp_path / "s.ckpt", tau=3.0)
+    return load_student(tmp_path / "s.ckpt")[0]
+
+
+def writable_copy(net):
+    return StudentNet([VariationalDenseLayer(l.theta.copy(), l.log_sigma2.copy(), l.bias.copy())
+                       for l in net.layers], activation=net.activation, seed=net.seed)
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class TestFrozenStudent:
+    """A loaded student keeps its masks for the last tau and their compaction, read-only."""
+
+    def test_masks_are_kept_per_tau(self, tmp_path):
+        net = frozen_student(tmp_path)
+        masks = prune_masks(net, 3.0)
+        assert not any(m.flags.writeable for m in masks)
+        assert all(a is b for a, b in zip(masks, prune_masks(net, 3.0)))
+        for a, b in zip(masks, prune_masks(writable_copy(net), 3.0)):
+            np.testing.assert_array_equal(a, b)
+        wider = prune_masks(net, 6.0)  # a new tau replaces the kept masks
+        assert not any(a is b for a, b in zip(masks, wider))
+        assert sum(m.sum() for m in wider) > sum(m.sum() for m in masks)
+        again = prune_masks(net, 3.0)
+        assert not any(a is b for a, b in zip(masks, again))
+        for a, b in zip(masks, again):
+            np.testing.assert_array_equal(a, b)
+
+    def test_compaction_is_kept(self, tmp_path, monkeypatch):
+        net, calls, compact_impl = frozen_student(tmp_path), [], student_module._compact
+
+        def spy(*args):
+            calls.append(args)
+            return compact_impl(*args)
+        monkeypatch.setattr(student_module, "_compact", spy)
+        masks = prune_masks(net, 3.0)
+        first = compact(net, masks)
+        assert first[2].sum() == 9 == first[0][0].shape[0]
+        for _ in range(3):
+            weights, biases, cols = compact(net, prune_masks(net, 3.0))
+            assert cols is first[2]
+            assert all(a is b for a, b in zip(weights + biases, first[0] + first[1]))
+        assert len(calls) == 1
+        assert not any(a.flags.writeable for a in first[0] + first[1] + (first[2],))
+        want = compact(writable_copy(net), [m.copy() for m in masks])
+        for a, b in zip(first[0] + first[1] + (first[2],), want[0] + want[1] + (want[2],)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_frozen_logits_equal_a_writable_copy_and_compact_once(self, tmp_path, monkeypatch):
+        net, calls = frozen_student(tmp_path), []
+
+        def spy(x, weights, *args):
+            calls.append(weights)
+            return dense_forward(x, weights, *args)
+        monkeypatch.setattr(student_module, "dense_forward", spy)
+        live = writable_copy(net)
+        x = np.random.default_rng(6).normal(size=(1025, 12))
+        for n in (1, 100, 1025):
+            np.testing.assert_array_equal(
+                student_logits(net, x[:n], masks=prune_masks(net, 3.0)),
+                student_logits(live, x[:n], masks=prune_masks(live, 3.0)))
+        kept, fresh = calls[0::2], calls[1::2]
+        assert all(a is b for ws in kept[1:] for a, b in zip(kept[0], ws))
+        assert not any(a is b for ws in fresh[1:] for a, b in zip(fresh[0], ws))
+        ds = make_blobs(300, 12, 4, seed=6)
+        assert evaluate_student(net, ds, 3.0) == evaluate_student(live, ds, 3.0)
+
+    @pytest.mark.parametrize("name", ["theta", "log_sigma2", "bias"])
+    def test_replacing_an_array_gives_fresh_values(self, tmp_path, name):
+        net = frozen_student(tmp_path)
+        x = np.random.default_rng(7).normal(size=(20, 12))
+        masks = prune_masks(net, 3.0)
+        before = student_logits(net, x, masks=masks)
+        layer = net.layers[0]
+        new = {"theta": layer.theta * 10.0, "log_sigma2": layer.log_sigma2 - 3.0,
+               "bias": layer.bias + 1.0}[name]
+        setattr(layer, name, read_only(new))
+        after = prune_masks(net, 3.0)
+        assert not any(m.flags.writeable for m in after)
+        # the masks read theta and log_sigma2 only, so a new bias keeps them
+        assert all(a is b for a, b in zip(masks, after)) == (name == "bias")
+        logits = student_logits(net, x, masks=after)
+        assert not np.array_equal(logits, before)
+        live = writable_copy(net)
+        for a, b in zip(after, prune_masks(live, 3.0)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(logits, student_logits(live, x, masks=prune_masks(live, 3.0)))
+
+    def test_writable_masks_are_compacted_on_every_call(self, tmp_path):
+        net = frozen_student(tmp_path)
+        masks = [m.copy() for m in prune_masks(net, 3.0)]
+        x = np.random.default_rng(8).normal(size=(20, 12))
+        before = student_logits(net, x, masks=masks)
+        masks[1][:, 0] = False
+        after = student_logits(net, x, masks=masks)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, student_logits(writable_copy(net), x, masks=masks))
+        np.testing.assert_array_equal(after, masked_chain(net, x, masks))
 
 
 class TestKlPenalties:

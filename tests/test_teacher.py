@@ -398,6 +398,16 @@ class TestFrozenTeacher:
         monkeypatch.undo()
         assert digest == checkpoint.digest(payload_arrays(loaded))
 
+    def test_saved_digest_is_the_written_one(self, tmp_path, monkeypatch):
+        # train-teacher saves the teacher, then tags its logit cache with the digest
+        trained, _ = train_teacher(make_blobs(64, 6, 3, seed=5),
+                                   TeacherConfig(arch=[6, 5, 3], epochs=2, batch_size=32, seed=0))
+        written = save_checkpoint(trained, tmp_path / "t.ckpt")
+        monkeypatch.setattr(checkpoint, "digest", lambda arrays: pytest.fail("digest recomputed"))
+        digest = payload_digest(trained)
+        monkeypatch.undo()
+        assert digest == written == checkpoint.digest(payload_arrays(trained))
+
     def test_live_net_follows_in_place_edits(self):
         # the training record and the benchmark's tracer read nets that Adam updates in place
         net = init_mlp([6, 5, 3], seed=8)
