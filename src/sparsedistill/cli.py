@@ -56,9 +56,7 @@ def _seeds(text: str) -> list[int]:
 
 
 def _lambda_v(text: str) -> float | None:
-    if text.lower() in ("auto", "none", ""):
-        return None
-    return float(text)
+    return None if text == "auto" else float(text)
 
 
 def _choice(name, options):

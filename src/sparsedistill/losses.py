@@ -177,7 +177,10 @@ def hint_node(student_logits: Tensor, teacher_logits: np.ndarray,
         kl_rows = (np.exp(lpt) * (lpt - lps)).sum(axis=1)
     else:
         kl_rows = (np.exp(lps) * (lps - lpt)).sum(axis=1)
-    value = float(2.0 * temperature ** 2 * kl_rows.mean())
+    # in numpy floats: past T of about 1e154, 2 T^2 is inf, the value inf or nan, and the
+    # training loop's divergence check stops the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(2.0 * np.square(temperature) * kl_rows.mean())
 
     def back(g):
         p = np.exp(lps)
@@ -281,7 +284,7 @@ def bsr_node(ctx: BsrContext, student_thetas: list[Tensor]) -> Tensor:
 def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
                cfg: LossConfig, *, epoch: int, n_train: int,
                bsr_ctx: BsrContext | None = None, rng=None,
-               activation: str = "relu"):
+               activation: str = "relu", dtype=np.float32):
     """Assemble the full objective for one batch.
 
     ``param_ts`` is a list of ``(theta, log_sigma2, bias)`` graph-tensor
@@ -289,7 +292,8 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
     name to its unweighted float value plus the effective KL weight.  The
     hint and group terms run exactly when their weights are non-zero, and
     then need ``teacher_rows`` and ``bsr_ctx`` (:func:`teacher_inputs`); a missing one raises
-    :class:`UsageError`.
+    :class:`UsageError`.  ``dtype`` is the type of the network's matrix products
+    (:func:`.student.student_logits_node`).
     """
     if rng is None:
         raise UsageError("total_loss needs an rng stream for the noise draws")
@@ -297,7 +301,7 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
     xb = np.asarray(xb, dtype=np.float64)
     eps_list = [rng.child(i).normal(xb.shape[0], theta.data.shape[1])
                 for i, (theta, _, _) in enumerate(param_ts)]
-    logits = student_logits_node(param_ts, xb, eps_list, activation=activation)
+    logits = student_logits_node(param_ts, xb, eps_list, activation=activation, dtype=dtype)
 
     loss = cross_entropy_node(logits, yb)
     parts = {"ce": loss.item()}

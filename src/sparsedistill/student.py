@@ -8,8 +8,9 @@ be removed.  Two KL penalties over log-alpha are provided as graph nodes
 (the sparsifying form and the simpler log-uniform bound; a penalty's value
 alone is its node's ``.item()``), plus pruning masks, forward
 passes for training (a graph of noisy layers, via the local
-reparameterisation trick) and evaluation (deterministic, masked, with the
-weight rows the masks prune entirely skipped), and checkpoint round-tripping.
+reparameterisation trick, with float32 matrix products) and evaluation
+(deterministic, masked, with the weight rows the masks prune entirely
+skipped), and checkpoint round-tripping.
 A loaded student is frozen: its masks and compacted layers are computed once and kept.
 """
 
@@ -249,7 +250,7 @@ def student_logits(net: StudentNet, x: np.ndarray, *,
 
 
 def _noisy_layer_node(x, theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,
-                      eps: np.ndarray) -> Tensor:
+                      eps: np.ndarray, dtype) -> Tensor:
     """One graph node for a noisy layer, with its closed-form gradient.
 
     The local reparameterisation trick draws each output from its Gaussian:
@@ -257,39 +258,49 @@ def _noisy_layer_node(x, theta_t: Tensor, log_sigma2_t: Tensor, bias_t: Tensor,
     ``x`` is the batch as an array, or the previous layer's node.  With
     ``dv = g * eps / (2 sd)``: ``dtheta = x.T @ g``, ``db = sum_rows g``,
     ``dlog_sigma2 = (x^2).T @ dv * sigma^2`` and, when ``x`` is a node,
-    ``dx = g @ theta.T + 2x * (dv @ sigma^2.T)``.
+    ``dx = g @ theta.T + 2x * (dv @ sigma^2.T)``.  The products run in ``dtype``: ``x``,
+    ``theta`` and ``sigma^2`` are cast once in the forward, ``x^2`` is the square of the cast
+    ``x``, and ``g`` and ``dv`` are cast once in the backward.  Each product is widened to
+    float64 before anything else touches it, so ``sd``, ``dv``, the output and every gradient
+    are float64.
     """
     x_t = x if isinstance(x, Tensor) else None
     xd = x if x_t is None else x.data
-    x_sq, s2 = np.square(xd), np.exp(log_sigma2_t.data)
-    sd = np.sqrt(x_sq @ s2 + _VAR_FLOOR)
-    out = xd @ theta_t.data + bias_t.data + sd * eps
+    s2 = np.exp(log_sigma2_t.data)
+    xc, thetac, s2c = (a.astype(dtype, copy=False) for a in (xd, theta_t.data, s2))
+    x_sq = np.square(xc)
+    sd = np.sqrt(np.add(x_sq @ s2c, _VAR_FLOOR, dtype=np.float64))
+    out = xc @ thetac + bias_t.data + sd * eps
     parents = (theta_t, log_sigma2_t, bias_t) + (() if x_t is None else (x_t,))
     req = any(p.requires_grad for p in parents)
 
     def back(g):
         dv = g * eps * 0.5 / sd
+        gc, dvc = g.astype(dtype, copy=False), dv.astype(dtype, copy=False)
         if theta_t.requires_grad:
-            theta_t._accumulate(xd.T @ g, fresh=True)
+            theta_t._accumulate((xc.T @ gc).astype(np.float64, copy=False), fresh=True)
         if bias_t.requires_grad:
             bias_t._accumulate(g.sum(axis=0), fresh=True)
         if log_sigma2_t.requires_grad:
-            log_sigma2_t._accumulate((x_sq.T @ dv) * s2, fresh=True)
+            log_sigma2_t._accumulate((x_sq.T @ dvc) * s2, fresh=True)
         if x_t is not None and x_t.requires_grad:
-            dx = g @ theta_t.data.T
-            dx += 2.0 * xd * (dv @ s2.T)
+            dx = 2.0 * xd * (dvc @ s2c.T)
+            dx += gc @ thetac.T
             x_t._accumulate(dx, fresh=True)
 
     return Tensor(out, req, parents, back if req else None)
 
 
 def student_logits_node(param_ts: list[tuple[Tensor, Tensor, Tensor]], x: np.ndarray,
-                        eps_list: list[np.ndarray], activation: str = "relu") -> Tensor:
+                        eps_list: list[np.ndarray], activation: str = "relu", *,
+                        dtype=np.float32) -> Tensor:
     """The training forward as a graph of noisy layers; ``eps_list`` holds each
-    layer's standard normal noise, drawn outside the graph."""
+    layer's standard normal noise, drawn outside the graph.  Each layer's matrix products run
+    in ``dtype``, and all else in float64 (:func:`_noisy_layer_node`); float64 products are
+    for checks against finite differences and float64 references."""
     out = np.asarray(x, dtype=np.float64)
     for i, (theta_t, logs2_t, bias_t) in enumerate(param_ts):
-        out = _noisy_layer_node(out, theta_t, logs2_t, bias_t, eps_list[i])
+        out = _noisy_layer_node(out, theta_t, logs2_t, bias_t, eps_list[i], dtype)
         if i < len(param_ts) - 1:
             out = out.relu() if activation == "relu" else out.sigmoid()
     return out

@@ -89,7 +89,7 @@ class TestGradientFidelity:
         flat = [t for triple in params for t in triple]
         finite_difference_check(
             lambda: total_loss(params, xb, yb, teacher_rows, cfg, epoch=1,
-                               n_train=100, bsr_ctx=ctx, rng=RngStream(13))[0],
+                               n_train=100, bsr_ctx=ctx, rng=RngStream(13), dtype=np.float64)[0],
             flat, sample=30, h=FD_STEP, tol=FD_TOL)
 
 

@@ -237,7 +237,8 @@ class TestGraphStructure:
         theta, log_sigma2, bias = leaf(rng, (5, 2)), leaf(rng, (5, 2), -6.0, -2.0), leaf(rng, (2,))
         a, c, d, scale = leaf(rng, (3, 2)), leaf(rng, (3, 2)), leaf(rng, (2,)), leaf(rng, ())
         h = (Tensor(rng.normal(size=(3, 4))) @ w1 + b1).relu()
-        y = _noisy_layer_node(h, theta, log_sigma2, bias, rng.normal(size=(3, 2))).sigmoid()
+        y = _noisy_layer_node(h, theta, log_sigma2, bias, rng.normal(size=(3, 2)),
+                              np.float32).sigmoid()
         y = y * scale + (a + c)
         ((y * y).sum() + d.sum()).backward()
         leaves = [w1, b1, theta, log_sigma2, bias, a, c, d, scale]

@@ -362,6 +362,14 @@ class TestBadValuesExit2:
                                 teacher_run=teacher_run) == 2
             assert named in capsys.readouterr().err
 
+    def test_overflowing_temperature_stops_with_a_training_error(self, corpus, teacher_run,
+                                                                 tmp_path, capsys):
+        # entry accepts any finite positive temperature; past about 1e154 the hint's 2 T^2
+        # is inf, and the first step's divergence check names the step
+        assert self.student(corpus, "--variant", "kd", "--temperature", "1e300",
+                            "--out", str(tmp_path), teacher_run=teacher_run) == 1
+        assert "error: TrainingError: loss diverged at epoch 0 step 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, why", [
         (("--variant", "kd", "--bsr", "l1linf", "--q", "3"),
          "variant 'kd' has no active l1lq term (group norm l1linf, lambda_g 0.01)"),
@@ -664,6 +672,18 @@ class TestFlagTable:
         assert err.value.code == 2
         assert f"unknown group-norm variant {value!r}; expected one of l1lq, l1linf" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["none", "", "AUTO"])
+    def test_removed_lambda_v_spellings_exit_2(self, corpus, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["train-student", *data_flags(corpus), "--lambda-v", value])
+        assert err.value.code == 2
+        assert f"--lambda-v: could not convert string to float: {value!r}" \
+            in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lambda_v={value}\n")
+        assert main(["train-student", *data_flags(corpus), "--config", str(cfg)]) == 2
+        assert f"bad value {value!r} for key 'lambda_v'" in capsys.readouterr().err
 
     def test_config_json_keys(self, teacher_run, student_run):
         teacher = json.loads((teacher_run["out"] / "config.json").read_text())

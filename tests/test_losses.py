@@ -343,6 +343,11 @@ class TestHint:
             with pytest.raises(DomainError, match=f"temperature must be .*, got {temperature!r}"):
                 hint_node(Tensor(np.zeros((1, 2))), np.zeros((1, 2)), temperature)
 
+    def test_overflowing_scale_gives_a_non_finite_value(self):
+        # 2 T^2 overflows in numpy floats, which the training loop's divergence check catches
+        for teacher in (np.ones((2, 3)), np.eye(3)[:2] * 1e300):
+            assert not np.isfinite(hint(np.zeros((2, 3)), teacher, 1e300))
+
     def test_node_gradcheck_both_directions(self):
         rng = np.random.default_rng(10)
         zt = rng.normal(size=(4, 5)) * 2
@@ -604,7 +609,7 @@ class TestTotalLoss:
         flat = [t for triple in params for t in triple]
         finite_difference_check(
             lambda: total_loss(params, xb, yb, rows, cfg, epoch=0, n_train=100,
-                               bsr_ctx=ctx, rng=RngStream(7))[0],
+                               bsr_ctx=ctx, rng=RngStream(7), dtype=np.float64)[0],
             flat)
 
     def test_reverse_hint_direction_changes_value(self):

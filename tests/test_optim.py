@@ -1,6 +1,7 @@
 """Optimizer behavior, the training loop's contracts, and the data-size sweep."""
 
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -321,6 +322,42 @@ class TestTrainStudent:
         np.testing.assert_array_equal(logits, logits_before)
         for w, before in zip(teacher_w, w_before):
             np.testing.assert_array_equal(w, before)
+
+    def test_float32_products_keep_float64_gradients_moments_and_weights(self, monkeypatch):
+        # only the noisy layers' matrix products are float32; Adam sees float64 throughout
+        seen, step = set(), Adam.step
+
+        def checked(opt):
+            seen.update(a.dtype.name for p in opt.params for a in (p.data, p.grad))
+            seen.update(m.dtype.name for m in (*opt._m, *opt._v))
+            step(opt)
+        monkeypatch.setattr(Adam, "step", checked)
+        ds = blob_dataset()
+        logits = np.random.default_rng(3).normal(size=(len(ds), 3))
+        teacher_w = [np.random.default_rng(4).normal(size=(8, 5)),
+                     np.random.default_rng(5).normal(size=(5, 3))]
+        cfg = resolve_variant("st-svd", LossConfig(warmup_epochs=0))
+        nets = [train_student(ds, logits, cfg, quick_cfg(), teacher_weights=teacher_w)[0]
+                for _ in range(2)]
+        assert seen == {"float64"}
+        assert {a.dtype.name for l in nets[0].layers
+                for a in (l.theta, l.log_sigma2, l.bias)} == {"float64"}
+        assert student_digest(nets[0]) == student_digest(nets[1])
+
+    @pytest.mark.filterwarnings("ignore:every weight was pruned")
+    def test_extreme_log_variance_stops_with_a_training_error(self):
+        # float32 products overflow a hidden layer's x^2 @ sigma^2 sooner than float64 ones
+        # (README "Library"); the divergence check reports it, and no NaN weights come back
+        ds = make_blobs(200, 64, 10, seed=3)
+        cfg = partial(quick_cfg, arch=[64, 16, 8, 10], batch_size=50)
+        for init in (-8.0, 20.0):
+            net, _ = train_student(ds, None, resolve_variant("simple"),
+                                   cfg(log_sigma2_init=init))
+            assert all(np.isfinite(a).all() for l in net.layers
+                       for a in (l.theta, l.log_sigma2, l.bias))
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingError, match="loss diverged at epoch 0 step 0"):
+            train_student(ds, None, resolve_variant("simple"), cfg(log_sigma2_init=40.0))
 
     def test_gradient_clipping_changes_trajectory(self):
         ds = blob_dataset()

@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, modules use each other's public names only,
-only ``optim`` runs a training loop, only ``tensor.derived`` keeps values on a network, and every
-package name the benchmark scripts read exists."""
+only ``optim`` runs a training loop, only ``tensor.derived`` keeps values on a network, float32
+appears only where a path computes in it, and every package name the benchmark scripts read
+exists."""
 
 import ast
 import importlib
@@ -137,6 +138,40 @@ def test_the_kept_scan_sees_every_use(tmp_path):
                     "    f = lambda: getattr(net, '_kept')\n"
                     "kept = Net()._kept\n")
     assert kept_uses(path) == ["derived:4", "forward:6", "<lambda>:7", "<module>:8"]
+
+
+FLOAT32 = {"float32", "single", "f4"}
+# the student's training products, and the float32 inference that predates them
+FLOAT32_OWNERS = {"student": {"student_logits_node"}, "losses": {"total_loss"},
+                  "tensor": {"_as_float"}, "teacher": {"forward_logits"}}
+
+
+def float32_uses(path: Path) -> list[str]:
+    """``owner:line`` for each float32 that ``path`` names (``np.float32``, ``np.single``, the bare
+    name, or a dtype string), by the module-level function or class around it."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in FLOAT32
+                    or isinstance(node, ast.Name) and node.id in FLOAT32
+                    or isinstance(node, ast.Constant) and node.value in FLOAT32):
+                found.append(f"{getattr(top, 'name', '<module>')}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__", "__main__"])
+def test_float32_only_where_a_path_computes_in_it(module):
+    owners = {use.split(":")[0] for use in float32_uses(PACKAGE / f"{module}.py")}
+    assert owners == FLOAT32_OWNERS.get(module, set())
+
+
+def test_the_float32_scan_sees_every_spelling(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np\nfrom numpy import float32\n"
+                    "def f(x, dtype=np.float32):\n    return x.astype('float32')\n"
+                    "class C:\n    def g(self):\n        return [float32(1) for _ in 'f4']\n"
+                    "y = np.zeros(3, dtype=np.single)\nz = np.float64(1.0)\n")
+    assert float32_uses(path) == ["f:3", "f:4", "C:7", "C:7", "<module>:8"]
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in BENCHMARK.glob("*.py")))

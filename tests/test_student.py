@@ -1,5 +1,7 @@
 """Variational student: dropout ratios, KL penalties, noisy forward, checkpoints."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -532,11 +534,11 @@ class TestKlGraphNodes:
             finite_difference_check(lambda: node(theta, logs2), [theta, logs2])
 
 
-def noisy_layer(layer, x, rng):
+def noisy_layer(layer, x, rng, dtype=np.float32):
     """One layer of the training forward, with its noise drawn from ``rng``."""
     eps = rng.normal(x.shape[0], layer.shape[1])
     params = [tuple(Tensor(a) for a in (layer.theta, layer.log_sigma2, layer.bias))]
-    return student_logits_node(params, x, [eps]).data
+    return student_logits_node(params, x, [eps], dtype=dtype).data
 
 
 class TestForward:
@@ -575,7 +577,7 @@ class TestForward:
         theta = np.array([[0.8, -0.5], [0.3, 1.2]])
         layer = VariationalDenseLayer(theta, np.full((2, 2), -60.0), np.array([0.1, -0.2]))
         x = np.random.default_rng(4).normal(size=(8, 2))
-        noisy = noisy_layer(layer, x, RngStream(0))
+        noisy = noisy_layer(layer, x, RngStream(0), np.float64)
         exact = student_logits(StudentNet([layer]), x)
         np.testing.assert_allclose(noisy, exact, atol=1e-8)
 
@@ -615,7 +617,7 @@ class TestForward:
         upstream = rng.normal(size=(512, 10))
         for activation in ("relu", "sigmoid"):
             results = []
-            for engine, build in ((Tensor, student_logits_node),
+            for engine, build in ((Tensor, partial(student_logits_node, dtype=np.float64)),
                                   (reference_autograd.Tensor, composed_student_logits)):
                 params = [tuple(engine(a.copy(), requires_grad=True)
                                 for a in (l.theta, l.log_sigma2, l.bias)) for l in net.layers]
@@ -631,6 +633,29 @@ class TestForward:
                     assert_matches_reference(leaf.grad, want_leaf.grad)
             assert np.all(params[0][0].grad[:20] == 0.0)
 
+    def test_float32_products_match_float64(self):
+        # the training default at 784-500-50-10 and batch 512 against float64 products
+        rng = np.random.default_rng(26)
+        net = init_student([784, 500, 50, 10], seed=4)
+        for layer in net.layers:
+            layer.log_sigma2 = rng.normal(-6.0, 2.0, size=layer.shape)
+        x = rng.random((512, 784))
+        x[:, :20] = 0.0  # blank pixels: exactly-zero gradient rows
+        eps = [rng.normal(size=(512, l.shape[1])) for l in net.layers]
+        upstream = rng.normal(size=(512, 10))
+        results = []
+        for build in (student_logits_node, partial(student_logits_node, dtype=np.float64)):
+            params = net_param_tensors(net)
+            node = build(params, x, eps)
+            (node * Tensor(upstream)).sum().backward()
+            results.append((node, [t for triple in params for t in triple]))
+        (node, leaves), (want, want_leaves) = results
+        assert node.data.dtype == np.float64
+        assert_matches_reference(node.data, want.data, rel=1e-5)
+        for leaf, want_leaf in zip(leaves, want_leaves):
+            assert leaf.grad.dtype == np.float64
+            assert_matches_reference(leaf.grad, want_leaf.grad, rel=1e-5)
+
     def test_graph_forward_gradcheck(self):
         net = init_student([4, 3, 2], seed=8)
         x = np.random.default_rng(8).normal(size=(5, 4))
@@ -638,7 +663,7 @@ class TestForward:
         params = net_param_tensors(net)
         flat = [t for triple in params for t in triple]
         def build():
-            out = student_logits_node(params, x, eps)
+            out = student_logits_node(params, x, eps, dtype=np.float64)
             return (out * out).sum()
         finite_difference_check(build, flat)
 
