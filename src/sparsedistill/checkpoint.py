@@ -51,6 +51,10 @@ def parse_arch(spec) -> list[int]:
         raise FormatError(f"architecture {spec!r} is not a list of widths") from None
     if len(widths) < 2:
         raise FormatError(f"architecture needs >= 2 positive widths, got {widths}")
+    for k, h in zip(widths, widths[1:]):
+        if k * h * 8 > np.iinfo(np.intp).max:
+            raise FormatError(f"a {k}x{h} layer is too wide: numpy cannot size its float64 "
+                              f"weight matrix of {k * h * 8} bytes")
     return widths
 
 

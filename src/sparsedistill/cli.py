@@ -52,7 +52,10 @@ def _seeds(text: str) -> list[int]:
     """A bare integer N means seeds 0..N-1; a comma list of distinct seeds is used as given."""
     if "," in text:
         return as_distinct([_seed(p) for p in text.split(",") if p.strip()], "seed", text)
-    return list(range(as_int(int(text), "seed count", 1)))
+    n = as_int(int(text), "seed count", 1)
+    if n > sys.maxsize:  # past what range() takes
+        raise UsageError(f"seed count {n} is too large")
+    return list(range(n))
 
 
 def _lambda_v(text: str) -> float | None:
@@ -114,46 +117,32 @@ def _argparse_type(convert):
     def wrapped(text):
         try:
             return convert(text)
-        except (UsageError, ValueError) as exc:
+        except ValueError as exc:  # UsageError too
             raise argparse.ArgumentTypeError(str(exc))
     return wrapped
 
 
-class Resolved:
-    """flags > config file > defaults, the last two through the flag's converter."""
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's settings, each through its flag's converter."""
+    path = _require_file(args.config, "config file")
+    try:
+        entries = read_manifest(path)
+    except FormatError as exc:
+        raise UsageError(str(exc))
+    settings = {}
+    for key, value in entries.items():
+        dest = key.replace("-", "_")
+        if dest not in vars(args) or dest in ("command", "config"):
+            raise UsageError(f"{path}: unknown key {key!r}; it is not a flag of this command")
+        try:
+            settings[dest] = _FLAGS[dest][0](value)
+        except ValueError as exc:
+            raise UsageError(f"{path}: bad value {value!r} for key {key!r}: {exc}")
+    return settings
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self.flags = vars(args)
-        self.defaults = {k: None if text is None else _FLAGS[k][0](text)
-                         for k, text in defaults.items()}
-        self.file = {}
-        if self.flags.get("config"):
-            path = _require_file(self.flags["config"], "config file")
-            try:
-                entries = read_manifest(path)
-            except FormatError as exc:
-                raise UsageError(str(exc))
-            for key, value in entries.items():
-                dest = key.replace("-", "_")
-                if dest not in self.flags or dest in ("command", "config"):
-                    raise UsageError(f"{path}: unknown key {key!r}; "
-                                     "it is not a flag of this command")
-                try:
-                    self.file[dest] = _FLAGS[dest][0](value)
-                except ValueError as exc:
-                    raise UsageError(f"{path}: bad value {value!r} for key {key!r}: {exc}")
 
-    def __call__(self, dest):
-        v = self.flags.get(dest)
-        if v is not None:
-            return v
-        if dest in self.file:
-            return self.file[dest]
-        return self.defaults.get(dest)
-
-    def snapshot(self) -> dict:
-        """Every setting the subcommand has a default for, resolved."""
-        return {k: self(k) for k in self.defaults}
+def _settings(args: argparse.Namespace) -> dict:
+    return {k: getattr(args, k) for k in _COMMANDS[args.command][3]}
 
 
 def _require_file(path, what: str) -> Path:
@@ -168,7 +157,7 @@ def _require_file(path, what: str) -> Path:
 def _load_pair(v, prefix: str, required: bool, arch: list[int]):
     """The ``prefix`` data set, checked against ``arch``: equal input width, and no more
     classes than outputs.  None when neither file is given and the set is not ``required``."""
-    images, labels = v(f"{prefix}_images"), v(f"{prefix}_labels")
+    images, labels = getattr(v, f"{prefix}_images"), getattr(v, f"{prefix}_labels")
     if images is None and labels is None:
         if required:
             raise UsageError(f"missing --{prefix}-images/--{prefix}-labels")
@@ -190,18 +179,18 @@ def _write_json(path: Path, obj):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_train_teacher(v: Resolved) -> int:
-    arch = parse_arch(v("arch"))
+def cmd_train_teacher(v: argparse.Namespace) -> int:
+    arch = parse_arch(v.arch)
     train_ds = _load_pair(v, "train", True, arch)
     test_ds = _load_pair(v, "test", False, arch)
-    cfg = TeacherConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
-                        lr=v("lr"), seed=v("seed"), activation=v("activation"))
-    out = Path(v("out"))
+    cfg = TeacherConfig(arch=arch, epochs=v.epochs, batch_size=v.batch,
+                        lr=v.lr, seed=v.seed, activation=v.activation)
+    out = Path(v.out)
     net, records = train_teacher(train_ds, cfg, test_ds=test_ds, log_dir=out)
 
     digest = save_checkpoint(net, out / "teacher.ckpt")
     save_logit_cache(precompute_logits(net, train_ds), out / "cache.ckpt")
-    _write_json(out / "config.json", v.snapshot())
+    _write_json(out / "config.json", _settings(v))
     final = records[-1]
     print(f"teacher {'-'.join(str(w) for w in arch)}: "
           f"{count_parameters(net)} parameters, digest {digest[:12]}, "
@@ -227,15 +216,13 @@ def _load_teacher(path, arch: list[int], outputs: bool = True):
 def _load_teacher_and_cache(v, train_ds, arch: list[int], hint: bool):
     """Returns (teacher_net, logits aligned with train_ds) or (None, None).  The teacher must
     fit the student ``arch`` (:func:`_load_teacher`), its output width only with the ``hint``."""
-    teacher_path = v("teacher")
-    if teacher_path is None:
-        if v("cache") is not None:
+    if v.teacher is None:
+        if v.cache is not None:
             raise UsageError("--cache needs --teacher, the checkpoint its logits were made by")
         return None, None
-    net = _load_teacher(teacher_path, arch, hint)
-    cache_path = v("cache")
-    if cache_path is not None:
-        logits = load_logit_cache(_require_file(cache_path, "logit cache"), payload_digest(net)).logits
+    net = _load_teacher(v.teacher, arch, hint)
+    if v.cache is not None:
+        logits = load_logit_cache(_require_file(v.cache, "logit cache"), payload_digest(net)).logits
     else:
         logits = precompute_logits(net, train_ds).logits
     if len(logits) != len(train_ds):
@@ -247,63 +234,61 @@ def _load_teacher_and_cache(v, train_ds, arch: list[int], hint: bool):
 def _student_inputs(v, test_required: bool):
     """``(train_ds, test_ds, loss_cfg, train_cfg, teacher_net, logits)`` of a
     student command; the teacher and its logits are None without ``--teacher``."""
-    arch = parse_arch(v("arch"))
+    arch = parse_arch(v.arch)
     train_ds = _load_pair(v, "train", True, arch)
     test_ds = _load_pair(v, "test", test_required, arch)
-    base = LossConfig(temperature=v("temperature"), lambda_t=v("lambda_t"),
-                      lambda_v_max=v("lambda_v"), q=v("q"), bsr_variant=v("bsr"),
-                      warmup_epochs=v("warmup_epochs"), hint_reverse=v("hint_reverse"))
-    loss_cfg = resolve_variant(v("variant"), base, lambda_g=v("lambda_g"))
+    base = LossConfig(temperature=v.temperature, lambda_t=v.lambda_t,
+                      lambda_v_max=v.lambda_v, q=v.q, bsr_variant=v.bsr,
+                      warmup_epochs=v.warmup_epochs, hint_reverse=v.hint_reverse)
+    loss_cfg = resolve_variant(v.variant, base, lambda_g=v.lambda_g)
     needs = teacher_inputs(loss_cfg)
-    if needs and v("teacher") is None:
+    if needs and v.teacher is None:
         terms = {"rows": f"hint (--lambda-t {loss_cfg.lambda_t}; --lambda-t 0 turns it off)",
                  "weights": f"group term (--lambda-g {loss_cfg.lambda_g})"}
-        raise UsageError(f"variant {v('variant')!r} needs --teacher for its "
+        raise UsageError(f"variant {v.variant!r} needs --teacher for its "
                          + " and its ".join(terms[k] for k in needs))
     teacher_net, logits = _load_teacher_and_cache(v, train_ds, arch, "rows" in needs)
     # lowdata has no --seed: lowdata_sweep gives each run a seed from --seeds
-    cfg = StudentTrainConfig(arch=arch, epochs=v("epochs"), batch_size=v("batch"),
-                             lr=v("lr"), seed=v("seed") or 0, tau=v("tau"),
-                             activation=v("activation"), grad_clip=v("clip"))
+    cfg = StudentTrainConfig(arch=arch, epochs=v.epochs, batch_size=v.batch,
+                             lr=v.lr, seed=getattr(v, "seed", 0), tau=v.tau,
+                             activation=v.activation, grad_clip=v.clip)
     return train_ds, test_ds, loss_cfg, cfg, teacher_net, logits
 
 
-def cmd_train_student(v: Resolved) -> int:
+def cmd_train_student(v: argparse.Namespace) -> int:
     train_ds, test_ds, loss_cfg, cfg, teacher_net, logits = _student_inputs(v, False)
-    out = Path(v("out"))
-    net, records = train_student(
-        train_ds, logits, loss_cfg, cfg,
-        teacher_weights=None if teacher_net is None else teacher_net.weights,
-        test_ds=test_ds, log_dir=out)
+    out = Path(v.out)
+    teacher_weights = None if teacher_net is None else teacher_net.weights
+    net, records = train_student(train_ds, logits, loss_cfg, cfg, teacher_weights=teacher_weights,
+                                 test_ds=test_ds, log_dir=out)
 
-    save_student(net, out / "student.ckpt", tau=v("tau"))
-    resolved = v.snapshot()
-    resolved["loss"] = asdict(loss_cfg)
+    save_student(net, out / "student.ckpt", tau=v.tau)
+    resolved = {**_settings(v), "loss": asdict(loss_cfg)}
     _write_json(out / "config.json", resolved)
     last = records[-1]
-    print(f"student {'-'.join(str(w) for w in cfg.arch)} [{v('variant')}]: "
-          f"R_s {last['r_s']:.2f} at tau {v('tau')}"
+    print(f"student {'-'.join(str(w) for w in cfg.arch)} [{v.variant}]: "
+          f"R_s {last['r_s']:.2f} at tau {v.tau}"
           + (f", test error {last['test_error_pct']:.2f}%" if "test_error_pct" in last else ""))
     if test_ds is not None:
-        report = report_student(net, v("tau"), test_ds, teacher=teacher_net, config=resolved)
-        ext = {"json": "json", "markdown": "md", "csv": "csv"}[v("format")]
-        (out / f"report.{ext}").write_text(emit_report([report], v("format")) + "\n")
+        report = report_student(net, v.tau, test_ds, teacher=teacher_net, config=resolved)
+        ext = {"json": "json", "markdown": "md", "csv": "csv"}[v.format]
+        (out / f"report.{ext}").write_text(emit_report([report], v.format) + "\n")
         print(f"wrote {out / f'report.{ext}'}")
     print(f"wrote {out / 'student.ckpt'} and {out / 'session.jsonl'}")
     return 0
 
 
-def cmd_evaluate(v: Resolved) -> int:
-    as_int(v("batch"), "batch size", 1)
-    net, _ = load_student(_require_file(v("student"), "student checkpoint"))
+def cmd_evaluate(v: argparse.Namespace) -> int:
+    as_int(v.batch, "batch size", 1)
+    net, _ = load_student(_require_file(v.student, "student checkpoint"))
     test_ds = _load_pair(v, "test", True, net.arch)
-    teacher_net = None if v("teacher") is None else _load_teacher(v("teacher"), net.arch)
-    resolved = {"student": str(v("student")), "tau": v("tau"), "format": v("format")}
-    report = report_student(net, v("tau"), test_ds, teacher=teacher_net, config=resolved,
-                            timed_batch=v("batch") if v("time") else None)
-    doc = emit_report([report], v("format"))
-    if v("out"):
-        out = Path(v("out"))
+    teacher_net = None if v.teacher is None else _load_teacher(v.teacher, net.arch)
+    resolved = {"student": str(v.student), "tau": v.tau, "format": v.format}
+    report = report_student(net, v.tau, test_ds, teacher=teacher_net, config=resolved,
+                            timed_batch=v.batch if v.time else None)
+    doc = emit_report([report], v.format)
+    if v.out:
+        out = Path(v.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(doc + "\n")
         print(f"wrote {out}")
@@ -312,20 +297,18 @@ def cmd_evaluate(v: Resolved) -> int:
     return 0
 
 
-def cmd_lowdata(v: Resolved) -> int:
+def cmd_lowdata(v: argparse.Namespace) -> int:
     train_ds, test_ds, loss_cfg, cfg, teacher_net, logits = _student_inputs(v, True)
     if teacher_net is None:
         raise UsageError("lowdata needs --teacher for the hint comparison")
-    if max(v("sizes")) > len(train_ds):
-        raise UsageError(f"subset size {max(v('sizes'))} is above the {len(train_ds)} "
+    if max(v.sizes) > len(train_ds):
+        raise UsageError(f"subset size {max(v.sizes)} is above the {len(train_ds)} "
                          "rows of the training set")
-    rows = lowdata_sweep(train_ds, test_ds, logits, loss_cfg, cfg,
-                         v("sizes"), v("seeds"),
+    rows = lowdata_sweep(train_ds, test_ds, logits, loss_cfg, cfg, v.sizes, v.seeds,
                          teacher_weights=teacher_net.weights)
     summary = summarize_sweep(rows)
-    resolved = v.snapshot()
-    resolved["loss"] = asdict(loss_cfg)
-    out = Path(v("out"))
+    resolved = {**_settings(v), "loss": asdict(loss_cfg)}
+    out = Path(v.out)
     _write_json(out / "sweep.json", {"rows": rows, "summary": summary, "config": resolved})
     for s in summary:
         label = "with hint   " if s["hint"] else "teacher-free"
@@ -365,7 +348,8 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="sparsedistill",
         description="Train a dense teacher, distill it into a sparse variational "
@@ -375,20 +359,28 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # lowdata --seed != --seeds
         for dest in (*plain, *defaults):
             convert, text = _FLAGS[dest]
-            if defaults.get(dest) is not None:
-                text += f" (default {defaults[dest]})"
-            kind = (dict(action="store_const", const=True) if convert is _bool
-                    else dict(type=_argparse_type(convert)))
+            default = defaults.get(dest)
+            if default is not None:
+                text += f" (default {default})"
+            # argparse runs a default text through the flag's type; a switch has none
+            kind = (dict(action="store_const", const=True, default=_bool(default))
+                    if convert is _bool else dict(type=_argparse_type(convert), default=default))
             p.add_argument("--" + dest.replace("_", "-"), help=text, **kind)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
-    command, _, _, defaults = _COMMANDS[args.command]
     try:
-        return command(Resolved(args, defaults))
+        if args.config:  # the file's settings become the defaults, so a flag still wins
+            commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

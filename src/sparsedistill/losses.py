@@ -20,6 +20,7 @@ Each term is defined once, as a graph node; its value alone is the node's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,7 +58,9 @@ class LossConfig:
     hint_reverse: bool = False
 
     def __post_init__(self):
-        self.temperature = as_real(self.temperature, "temperature", 0, strict=True)
+        self.temperature = t = as_real(self.temperature, "temperature", 0, strict=True)
+        if not (math.isfinite(1.0 / t) and math.isfinite(2.0 * t * t)):
+            raise UsageError(f"temperature {t!r} is out of range: 1/T and 2 T^2 must be finite")
         self.lambda_t = as_real(self.lambda_t, "lambda_t", 0)
         if self.lambda_v_max is not None:
             self.lambda_v_max = as_real(self.lambda_v_max, "lambda_v_max", 0)

@@ -80,6 +80,12 @@ class TestMalformedManifests:
         edit_manifest(root / "teacher.ckpt", architecture=None)
         self.check(load_checkpoint, root / "teacher.ckpt", "architecture")
 
+    @pytest.mark.parametrize("name,load", [("teacher.ckpt", load_checkpoint),
+                                           ("student.ckpt", load_student)])
+    def test_architecture_numpy_cannot_size(self, root, name, load):
+        edit_manifest(root / name, architecture="6-99999999999999999999-3")
+        self.check(load, root / name, "architecture")
+
     def test_missing_rows(self, root):
         edit_manifest(root / "cache.ckpt", rows=None)
         self.check(load_logit_cache, root / "cache.ckpt", "rows")

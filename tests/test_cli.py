@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import sparsedistill
-from sparsedistill.cli import _COMMANDS, _FLAGS, main
+from sparsedistill.cli import _COMMANDS, _FLAGS, build_parser, main
 from sparsedistill.checkpoint import read_manifest
 from sparsedistill.data import load_idx
 from sparsedistill.losses import resolve_variant
@@ -166,6 +166,24 @@ class TestArgumentErrors:
             main(["lowdata", *data_flags(corpus), "--sizes", "30,45,30"])
         assert err.value.code == 2
         assert "size list '30,45,30' repeats a size" in capsys.readouterr().err
+
+    def test_seed_count_past_ssize_t(self, corpus, tmp_path, capsys):
+        # only counts of 2^63 and more: a count that fits would build the whole list
+        cfg = tmp_path / "run.cfg"
+        for count in (str(2 ** 63), "99999999999999999999999"):
+            with pytest.raises(SystemExit) as err:
+                main(["lowdata", *data_flags(corpus), "--seeds", count])
+            assert err.value.code == 2
+            assert f"--seeds: seed count {count} is too large" in capsys.readouterr().err
+            cfg.write_text(f"seeds={count}\n")
+            assert main(["lowdata", *data_flags(corpus), "--config", str(cfg)]) == 2
+            assert f"bad value {count!r} for key 'seeds'" in capsys.readouterr().err
+
+    def test_layer_numpy_cannot_size(self, corpus, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train-student", *data_flags(corpus), "--arch", "16-8-99999999999999999999"])
+        assert err.value.code == 2
+        assert "--arch: a 8x99999999999999999999 layer is too wide" in capsys.readouterr().err
 
 
 class TestUsageExitCodes:
@@ -362,13 +380,14 @@ class TestBadValuesExit2:
                                 teacher_run=teacher_run) == 2
             assert named in capsys.readouterr().err
 
-    def test_overflowing_temperature_stops_with_a_training_error(self, corpus, teacher_run,
-                                                                 tmp_path, capsys):
-        # entry accepts any finite positive temperature; past about 1e154 the hint's 2 T^2
-        # is inf, and the first step's divergence check names the step
-        assert self.student(corpus, "--variant", "kd", "--temperature", "1e300",
-                            "--out", str(tmp_path), teacher_run=teacher_run) == 1
-        assert "error: TrainingError: loss diverged at epoch 0 step 0" in capsys.readouterr().err
+    def test_temperature_past_float64_range(self, corpus, teacher_run, tmp_path, capsys):
+        # 1/T and the hint's 2 T^2 must be finite, or the first step diverges
+        for value in ("1e300", "1e-320"):
+            assert self.student(corpus, "--variant", "kd", "--temperature", value,
+                                "--out", str(tmp_path), teacher_run=teacher_run) == 2
+            assert f"temperature {float(value)!r} is out of range" in capsys.readouterr().err
+        assert self.student(corpus, "--variant", "kd", "--temperature", "1e-300",
+                            "--out", str(tmp_path), teacher_run=teacher_run) == 0
 
     @pytest.mark.parametrize("flags, why", [
         (("--variant", "kd", "--bsr", "l1linf", "--q", "3"),
@@ -572,6 +591,18 @@ class TestStudentArtifacts:
         assert config["epochs"] == 1
         assert config["seed"] == 5
 
+    def test_flag_that_means_unset_beats_the_config_file(self, corpus, tmp_path):
+        """``--lambda-v auto`` converts to None, and still wins over the file's ``lambda_v``."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda_v=0.5\n")
+        for flags, want in (((), 0.5), (("--lambda-v", "auto"), None)):
+            out = tmp_path / str(want)
+            assert main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                         "--variant", "kd-svd", "--lambda-t", "0", "--epochs", "1",
+                         "--batch", "32", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+            config = json.loads((out / "config.json").read_text())
+            assert config["lambda_v"] == want and config["loss"]["lambda_v_max"] == want
+
     def test_config_file_path_keys(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "run"
@@ -642,6 +673,15 @@ class TestFlagTable:
                 if default is not None:
                     assert f"(default{default})" in text, (command, dest)
         assert "trainingepochs(default30)" in self.help_text("lowdata", capsys)
+
+    def test_argparse_converts_every_default(self):
+        parser = build_parser()
+        for command, (_, _, plain, defaults) in _COMMANDS.items():
+            args = vars(parser.parse_args([command]))
+            for dest, text in defaults.items():
+                want = None if text is None else _FLAGS[dest][0](text)
+                assert args[dest] == want and type(args[dest]) is type(want), (command, dest)
+            assert all(args[dest] is None for dest in plain), command
 
     def test_every_flag_is_offered(self, capsys):
         offered = set()

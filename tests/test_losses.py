@@ -1,5 +1,6 @@
 """Objective terms: data loss, softened hint, group norms, and their assembly."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,14 @@ class TestLossConfig:
         for bad in (float("inf"), float("-inf")):
             with pytest.raises(UsageError, match=f"temperature must be .*, got {bad}"):
                 LossConfig(temperature=bad)
+
+    def test_temperature_whose_reciprocal_or_square_overflows(self):
+        # the logits are divided by T and the hint is scaled by 2 T^2, both in float64
+        for bad in (1e300, 1e154, 1e-320, 5e-324):
+            with pytest.raises(UsageError, match=re.escape(f"temperature {bad!r} is out of range")):
+                LossConfig(temperature=bad)
+        for good in (1e-300, 1e153):
+            assert LossConfig(temperature=good).temperature == good
 
     def test_warmup_epochs_must_not_be_negative(self):
         with pytest.raises(UsageError, match="warmup_epochs must be >= 0, got -4"):

@@ -56,6 +56,14 @@ class TestParseArch:
                 parse_arch([6, bad, 3])
         assert parse_arch([6, 4.0, np.int64(3)]) == [6, 4, 3]
 
+    def test_rejects_layers_numpy_cannot_size(self):
+        # k * h float64 weights past np.intp's range: refused before any array is made
+        for arch, layer in (("16-8-99999999999999999999", "8x99999999999999999999"),
+                            ([2 ** 62, 2, 3], f"{2 ** 62}x2"), ([2, 2 ** 60], f"2x{2 ** 60}")):
+            with pytest.raises(FormatError, match=f"a {layer} layer is too wide"):
+                parse_arch(arch)
+        assert parse_arch([2, 2 ** 58]) == [2, 2 ** 58]
+
 
 class TestCountParameters:
     def test_teacher_architecture_count(self):
