@@ -124,7 +124,7 @@ def _argparse_type(convert):
 
 def _config_defaults(args: argparse.Namespace) -> dict:
     """The ``--config`` file's settings, each through its flag's converter."""
-    path = _require_file(args.config, "config file")
+    path = _require_file(args.config, "--config")
     try:
         entries = read_manifest(path)
     except FormatError as exc:
@@ -134,6 +134,8 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         dest = key.replace("-", "_")
         if dest not in vars(args) or dest in ("command", "config"):
             raise UsageError(f"{path}: unknown key {key!r}; it is not a flag of this command")
+        if dest in settings:  # test-images and test_images both name --test-images
+            raise UsageError(f"{path}: repeated key {key!r}, under another spelling")
         try:
             settings[dest] = _FLAGS[dest][0](value)
         except ValueError as exc:
@@ -145,13 +147,13 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in _COMMANDS[args.command][3]}
 
 
-def _require_file(path, what: str) -> Path:
+def _require_file(path, flag: str) -> Path:
+    """``path``, the value of ``flag``, if it names a file; "" and a directory do not."""
     if path is None:
-        raise UsageError(f"missing required {what}")
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"no such {what}: {path}")
-    return path
+        raise UsageError(f"missing required {flag}")
+    if not Path(path).is_file():
+        raise UsageError(f"{flag}: {str(path)!r} is not a file")
+    return Path(path)
 
 
 def _load_pair(v, prefix: str, required: bool, arch: list[int]):
@@ -162,8 +164,8 @@ def _load_pair(v, prefix: str, required: bool, arch: list[int]):
         if required:
             raise UsageError(f"missing --{prefix}-images/--{prefix}-labels")
         return None
-    ds = load_idx(_require_file(images, f"{prefix} images file"),
-                  _require_file(labels, f"{prefix} labels file"))
+    ds = load_idx(_require_file(images, f"--{prefix}-images"),
+                  _require_file(labels, f"--{prefix}-labels"))
     if arch[0] != ds.n_features:
         raise UsageError(f"{images}: {ds.n_features} features, but the input width is {arch[0]}")
     if arch[-1] < ds.n_classes:
@@ -203,7 +205,7 @@ def cmd_train_teacher(v: argparse.Namespace) -> int:
 def _load_teacher(path, arch: list[int], outputs: bool = True):
     """The teacher checkpoint at ``path``, refused unless it reads the input width of the
     student ``arch`` and, when ``outputs``, gives its output width."""
-    net = load_checkpoint(_require_file(path, "teacher checkpoint"))
+    net = load_checkpoint(_require_file(path, "--teacher"))
     if net.arch[0] != arch[0]:
         raise UsageError(f"{path}: teacher input width {net.arch[0]} does not match the "
                          f"student's {arch[0]} features")
@@ -222,7 +224,7 @@ def _load_teacher_and_cache(v, train_ds, arch: list[int], hint: bool):
         return None, None
     net = _load_teacher(v.teacher, arch, hint)
     if v.cache is not None:
-        logits = load_logit_cache(_require_file(v.cache, "logit cache"), payload_digest(net)).logits
+        logits = load_logit_cache(_require_file(v.cache, "--cache"), payload_digest(net)).logits
     else:
         logits = precompute_logits(net, train_ds).logits
     if len(logits) != len(train_ds):
@@ -280,7 +282,7 @@ def cmd_train_student(v: argparse.Namespace) -> int:
 
 def cmd_evaluate(v: argparse.Namespace) -> int:
     as_int(v.batch, "batch size", 1)
-    net, _ = load_student(_require_file(v.student, "student checkpoint"))
+    net, _ = load_student(_require_file(v.student, "--student"))
     test_ds = _load_pair(v, "test", True, net.arch)
     teacher_net = None if v.teacher is None else _load_teacher(v.teacher, net.arch)
     resolved = {"student": str(v.student), "tau": v.tau, "format": v.format}
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
     parser, commands = _parsers()
     args = parser.parse_args(argv)
     try:
-        if args.config:  # the file's settings become the defaults, so a flag still wins
+        if args.config is not None:  # the file's settings become defaults, so a flag still wins
             commands[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args)

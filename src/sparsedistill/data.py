@@ -2,9 +2,9 @@
 
 Files follow the classic IDX layout: big-endian 32-bit header words, then
 a flat payload of unsigned bytes.  Images use magic 0x00000803 followed by
-count, rows, cols; labels use magic 0x00000801 followed by count.  Pixels
-are rescaled to [0, 1] on load by dividing by 255; nothing else (no mean
-centering) is applied.
+count, rows, cols; labels use magic 0x00000801 followed by count.  Byte ``k``
+becomes the float32 ``np.float32(k / 255)`` on load, the value the float32 matrix
+products read, at 4 bytes a pixel; nothing else (no mean centering) is applied.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise ConsistencyError(f"{n} images but {n_labels} labels")
     labels = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
 
-    images = pixels.astype(np.float64)
-    images /= 255.0  # in place: one float64 copy of the pixels is held, not two
+    images = pixels.astype(np.float32)
+    images /= np.float32(255.0)  # in place: one float32 copy of the pixels is held, not two
     return Dataset(images, labels)
 
 

@@ -301,7 +301,6 @@ def total_loss(param_ts, xb: np.ndarray, yb, teacher_rows: np.ndarray | None,
     if rng is None:
         raise UsageError("total_loss needs an rng stream for the noise draws")
     teacher_inputs(cfg, rows=teacher_rows, weights=bsr_ctx)
-    xb = np.asarray(xb, dtype=np.float64)
     eps_list = [rng.child(i).normal(xb.shape[0], theta.data.shape[1])
                 for i, (theta, _, _) in enumerate(param_ts)]
     logits = student_logits_node(param_ts, xb, eps_list, activation=activation, dtype=dtype)

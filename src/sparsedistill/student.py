@@ -298,7 +298,7 @@ def student_logits_node(param_ts: list[tuple[Tensor, Tensor, Tensor]], x: np.nda
     layer's standard normal noise, drawn outside the graph.  Each layer's matrix products run
     in ``dtype``, and all else in float64 (:func:`_noisy_layer_node`); float64 products are
     for checks against finite differences and float64 references."""
-    out = np.asarray(x, dtype=np.float64)
+    out = x
     for i, (theta_t, logs2_t, bias_t) in enumerate(param_ts):
         out = _noisy_layer_node(out, theta_t, logs2_t, bias_t, eps_list[i], dtype)
         if i < len(param_ts) - 1:

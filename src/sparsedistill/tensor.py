@@ -95,10 +95,10 @@ def check_layers(weights, biases) -> None:
 def dense_forward(x, weights, biases, activation: str, cols=None) -> np.ndarray:
     """Last-layer pre-activations as float64, in row blocks of at most ``_FORWARD_ROWS`` whose
     sizes differ by at most one: BLAS would sum a short last block's few rows in another order.
-    Each block is computed in the float type of ``weights`` (float32 weights give float32
-    products and hidden activations).  ``cols``, a boolean mask over the input's columns, picks
-    those the first layer reads, block by block."""
-    x = np.asarray(x, dtype=np.float64)
+    Each block is cast to the float type of ``weights`` (float32 weights give float32 products
+    and hidden activations); the input is never widened as a whole.  ``cols``, a boolean mask
+    over the input's columns, picks those the first layer reads, block by block."""
+    x = np.asarray(x)
     width = weights[0].shape[0] if cols is None else len(cols)
     if x.ndim != 2 or x.shape[1] != width:
         raise ShapeError(f"batch shape {x.shape} incompatible with input width {width}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,16 @@ def write_blob_idx(dirpath, n_train: int, n_test: int, d: int, classes: int,
     write_idx(u8[n_train:], full.labels[n_train:],
               paths["test_images"], paths["test_labels"], rows=rows, cols=cols)
     return paths
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak bytes allocated during the call)``; numpy reports its arrays to
+    :mod:`tracemalloc`."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

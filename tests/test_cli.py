@@ -223,6 +223,18 @@ class TestUsageExitCodes:
                    "--config", "/no/such/config"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--student", "--config", "--teacher", "--test-images"])
+    @pytest.mark.parametrize("value", ["", "directory"], ids=["empty", "directory"])
+    def test_an_empty_path_or_a_directory_is_not_a_file(self, corpus, student_run, teacher_run,
+                                                         capsys, flag, value):
+        # each exits 2 naming its flag: "" is no file, though Path("") is "." and exists
+        given = {"--student": student_run["student"], "--teacher": teacher_run["teacher"],
+                 "--test-images": corpus["test_images"], "--test-labels": corpus["test_labels"]}
+        given[flag] = str(Path(corpus["test_images"]).parent) if value else ""
+        rc = main(["evaluate", *(a for item in given.items() for a in item), "--tau", "1e9"])
+        assert rc == 2
+        assert f"{flag}: {given[flag]!r} is not a file" in capsys.readouterr().err
+
     def test_cache_without_teacher(self, corpus, tmp_path, capsys):
         rc = main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
                    "--variant", "simple", "--epochs", "1", "--cache", "/no/such/cache",
@@ -624,14 +636,17 @@ class TestStudentArtifacts:
             assert str(cfg) in err and repr(line.split("=")[0]) in err
 
     def test_repeated_config_key(self, corpus, tmp_path, capsys):
+        # a key repeats also under its other spelling: both name --test-images
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs=1\nseed=2\nepochs=3\n")
-        rc = main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
-                   "--variant", "simple", "--batch", "32", "--config", str(cfg),
-                   "--out", str(tmp_path / "run")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"{cfg}:3" in err and "'epochs'" in err
+        for text, named in (("epochs=1\nseed=2\nepochs=3\n", f"{cfg}:3: repeated key 'epochs'"),
+                            ("epochs=1\ntest-images=nope\ntest_images={test_images}\n"
+                             "test-labels={test_labels}\n", f"{cfg}: repeated key 'test_images'")):
+            cfg.write_text(text.format(**corpus))
+            rc = main(["train-student", *data_flags(corpus, test=False), "--arch", "16-8-3",
+                       "--variant", "simple", "--batch", "32", "--config", str(cfg),
+                       "--out", str(tmp_path / "run")])
+            assert rc == 2
+            assert named in capsys.readouterr().err
 
     def test_config_file_that_does_not_parse(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

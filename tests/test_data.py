@@ -48,10 +48,19 @@ class TestIdxRoundTrip:
         labels = rng.integers(0, 5, size=10).astype(np.uint8)
         ip, lp = write_pair(tmp_path, images, labels)
         ds = load_idx(ip, lp)
-        assert ds.images.dtype == np.float64
+        assert ds.images.dtype == np.float32
         assert ds.labels.dtype == np.int64
-        np.testing.assert_allclose(ds.images, images / 255.0, atol=1e-15)
+        np.testing.assert_array_equal(ds.images, np.float32(images / 255.0))
         np.testing.assert_array_equal(ds.labels, labels)
+
+    def test_every_byte_loads_as_the_float32_of_its_float64_scale(self, tmp_path):
+        # np.float32(k / 255), the value the float32 products read, held at 4 bytes a pixel
+        ip, lp = write_pair(tmp_path, np.arange(256, dtype=np.uint8).reshape(64, 4),
+                            np.zeros(64, dtype=np.uint8))
+        images = load_idx(ip, lp).images
+        assert images.dtype == np.float32 and images.itemsize == 4
+        want = np.array([np.float32(k / 255.0) for k in range(256)]).reshape(64, 4)
+        np.testing.assert_array_equal(images.view(np.uint32), want.view(np.uint32))
 
     def test_write_idx_validation(self, tmp_path):
         with pytest.raises(ConsistencyError):

@@ -8,7 +8,7 @@ import pytest
 
 from sparsedistill import optim
 from sparsedistill.autograd import Tensor
-from sparsedistill.data import Dataset, subset_indices
+from sparsedistill.data import Dataset, load_idx, subset_indices
 from sparsedistill.errors import ConsistencyError, FormatError, TrainingError, UsageError
 from sparsedistill.losses import LossConfig, resolve_variant
 from sparsedistill.optim import (Adam, StudentTrainConfig, _clip_global_norm, evaluate_student,
@@ -20,7 +20,7 @@ from sparsedistill.student import (compact, init_student, prune_masks, student_d
 from sparsedistill.teacher import TeacherConfig, count_parameters, init_mlp, train_teacher
 from sparsedistill.tensor import ELEMENT_BLOCK
 
-from conftest import make_blobs
+from conftest import make_blobs, write_blob_idx
 
 
 def blob_dataset(n=60, d=8, classes=3, seed=0):
@@ -322,6 +322,23 @@ class TestTrainStudent:
         np.testing.assert_array_equal(logits, logits_before)
         for w, before in zip(teacher_w, w_before):
             np.testing.assert_array_equal(w, before)
+
+    @pytest.mark.parametrize("variant", ["kd", "st-svd"])
+    def test_float32_pixels_train_the_student_float64_pixels_do(self, tmp_path, variant):
+        # load_idx holds byte k as np.float32(k / 255), the value the float32 products cast
+        # a float64 k / 255 to: the same student from either
+        paths = write_blob_idx(tmp_path, 60, 12, 8, 3, seed=0, rows=2, cols=4)
+        ds32 = load_idx(paths["train_images"], paths["train_labels"])
+        assert ds32.images.dtype == np.float32
+        pixels = np.frombuffer(paths["train_images"].read_bytes(), np.uint8, offset=16)
+        ds64 = Dataset(pixels.reshape(60, 8) / 255.0, ds32.labels)
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(60, 3))
+        teacher_w = [rng.normal(size=(8, 5)), rng.normal(size=(5, 3))]
+        cfg = resolve_variant(variant, LossConfig(warmup_epochs=1))
+        nets = [train_student(ds, logits, cfg, quick_cfg(), teacher_weights=teacher_w)[0]
+                for ds in (ds32, ds64)]
+        assert student_digest(nets[0]) == student_digest(nets[1])
 
     def test_float32_products_keep_float64_gradients_moments_and_weights(self, monkeypatch):
         # only the noisy layers' matrix products are float32; Adam sees float64 throughout

@@ -141,9 +141,9 @@ def test_the_kept_scan_sees_every_use(tmp_path):
 
 
 FLOAT32 = {"float32", "single", "f4"}
-# the student's training products, and the float32 inference that predates them
+# the student's training products, the float32 inference that predates them, and the pixels
 FLOAT32_OWNERS = {"student": {"student_logits_node"}, "losses": {"total_loss"},
-                  "tensor": {"_as_float"}, "teacher": {"forward_logits"}}
+                  "tensor": {"_as_float"}, "teacher": {"forward_logits"}, "data": {"load_idx"}}
 
 
 def float32_uses(path: Path) -> list[str]:

@@ -16,7 +16,7 @@ from sparsedistill.teacher import (DenseMLP, TeacherConfig, count_parameters,
 from sparsedistill.student import init_student, load_student, save_student
 from sparsedistill.tensor import dense_forward, relu, sigmoid
 
-from conftest import make_blobs
+from conftest import make_blobs, traced_peak
 
 
 def float32_forward(net, x, act):
@@ -146,6 +146,15 @@ class TestInitAndForward:
         for n in (1023, 1024, 1025, 2049):
             np.testing.assert_array_equal(forward_logits(net, x[:n]),
                                           float32_forward(net, x[:n], relu))
+
+    def test_float32_rows_are_read_as_they_are(self):
+        # the float32 products read float32 rows directly: the same bits as float64 rows,
+        # and no copy of the input in either type
+        net = init_mlp([64, 8, 3], seed=5)
+        x32 = np.random.default_rng(11).random((4096, 64), dtype=np.float32)
+        got, peak = traced_peak(forward_logits, net, x32)
+        np.testing.assert_array_equal(got, forward_logits(net, x32.astype(np.float64)))
+        assert peak < x32.nbytes // 2
 
     def test_forward_shape_check(self):
         net = init_mlp([4, 3, 2], seed=0)

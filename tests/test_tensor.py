@@ -7,6 +7,8 @@ from sparsedistill.errors import ShapeError
 from sparsedistill.losses import _log_softmax
 from sparsedistill.tensor import RngStream, dense_forward, relu, sigmoid
 
+from conftest import traced_peak
+
 
 def row_softmax(z, temperature=1.0):
     return np.exp(_log_softmax(np.asarray(z, dtype=np.float64) / temperature))
@@ -150,3 +152,15 @@ class TestDenseForward:
         assert not np.array_equal(got, dense_forward(x, weights, biases, activation))
         with pytest.raises(ShapeError):
             dense_forward(np.zeros((2, 5)), w32, biases, activation)
+
+    def test_float32_rows_are_widened_one_block_at_a_time(self):
+        # float64 weights read float32 rows as the same rows widened to float64, bit for bit,
+        # and never widen the whole input: a 1024-row block's float64 copy is a quarter of it
+        rng = np.random.default_rng(10)
+        weights = [rng.normal(size=(64, 8)), rng.normal(size=(8, 3))]
+        biases = [rng.normal(size=8), rng.normal(size=3)]
+        x32 = rng.random((4096, 64), dtype=np.float32)
+        got, peak = traced_peak(dense_forward, x32, weights, biases, "relu")
+        np.testing.assert_array_equal(got, dense_forward(x32.astype(np.float64), weights,
+                                                         biases, "relu"))
+        assert peak < x32.size * 8 // 2
