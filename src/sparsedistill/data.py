@@ -16,18 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, FormatError, LengthError, as_int
-from .tensor import RngStream
+from .tensor import BIT_GENERATOR, RngStream
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
-__all__ = [
-    "Dataset",
-    "load_idx",
-    "write_idx",
-    "subset_indices",
-    "batch_iter",
-]
+__all__ = ["Dataset", "load_idx", "write_idx", "subset_indices", "batch_iter"]
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,7 @@ def batch_iter(ds: Dataset, batch_size: int, shuffle_seed=None):
     if shuffle_seed is None:
         indices = np.arange(n)
     else:
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(shuffle_seed)))
+        gen = np.random.Generator(BIT_GENERATOR(np.random.SeedSequence(shuffle_seed)))
         indices = gen.permutation(n)
     for start in range(0, n, batch_size):
         batch = indices[start:start + batch_size]

@@ -34,13 +34,16 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and offset, Kingma an
 
 
 class Adam(object):
-    """Adam with bias correction; updates parameter arrays in place."""
+    """Adam with bias correction in Kingma and Ba's efficient form (arXiv 1412.6980, end of
+    section 2); updates parameter arrays in place.  The float64 moments are held scaled, as
+    ``m / (1 - BETA1)`` and ``v / (1 - BETA2)``, and :meth:`step` folds those scales and the
+    bias corrections into ``x -= alpha * m / (sqrt(v) + eps)``, the textbook update exactly."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self._m = [np.zeros(p.data.size) for p in self.params]  # flat, row-major
+        self._m = [np.zeros(p.data.size) for p in self.params]  # flat, row-major, scaled
         self._v = [np.zeros(p.data.size) for p in self.params]
         self._scratch = np.empty((2, ELEMENT_BLOCK))
 
@@ -49,25 +52,27 @@ class Adam(object):
             p.grad = None
 
     def step(self):
-        """Update in blocks of ``ELEMENT_BLOCK`` elements: the unblocked ufuncs, order and bits."""
+        """Update in blocks of ``ELEMENT_BLOCK`` elements, each checked finite just before its
+        update: a non-finite one raises :class:`TrainingError`, earlier blocks already stepped."""
         self.t += 1
         c1, c2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
+        k = np.sqrt((1.0 - BETA2) / c2)  # sqrt(v / c2) is k * sqrt(scaled v)
+        alpha, eps = self.lr * (1.0 - BETA1) / (c1 * k), EPS / k
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            if not np.all(np.isfinite(p.grad)):
-                raise TrainingError(f"non-finite gradient in parameter {i}", param=i)
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)
             for lo in range(0, data.size, ELEMENT_BLOCK):
                 g, m, v, x = (y[lo:lo + ELEMENT_BLOCK] for y in (grad, self._m[i], self._v[i], data))
+                if not np.isfinite(g).all():
+                    raise TrainingError(f"non-finite gradient in parameter {i}", param=i)
                 a, b = self._scratch[:, :len(g)]
                 m *= BETA1
-                m += np.multiply(g, 1.0 - BETA1, out=a)
+                m += g
                 v *= BETA2
-                v += np.multiply(np.square(g, out=a), 1.0 - BETA2, out=a)
-                np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
-                np.add(np.sqrt(np.divide(v, c2, out=b), out=b), EPS, out=b)
-                x -= np.divide(a, b, out=a)
+                v += np.square(g, out=a)
+                np.add(np.sqrt(v, out=b), eps, out=b)
+                x -= np.divide(np.multiply(m, alpha, out=a), b, out=a)
             if not p.data.flags.c_contiguous:  # then reshape copied it: write the copy back
                 p.data[...] = data.reshape(p.data.shape)
 
@@ -105,7 +110,7 @@ def check_schedule(cfg) -> None:
 def _clip_global_norm(params, max_norm: float):
     """Scale all gradients together so their joint l2 norm is at most max_norm."""
     grads = [p.grad for p in params if p.grad is not None]
-    norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads))
+    norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads))  # vdot: no g-sized temporary
     if norm > max_norm and norm > 0:
         for g in grads:
             g *= max_norm / norm

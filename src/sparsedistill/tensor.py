@@ -1,8 +1,8 @@
 """Reproducible random streams, the hidden-layer nonlinearities and the dense forward.
 
 All stochastic behaviour flows through :class:`RngStream`, a splittable
-counter-based generator, so results are reproducible bit-for-bit from a
-seed.  :data:`ACTIVATIONS` names the hidden nonlinearities; :func:`check_layers` and
+stream keyed by ``SeedSequence``, so results are reproducible bit-for-bit
+from a seed.  :data:`ACTIVATIONS` names the hidden nonlinearities; :func:`check_layers` and
 :func:`dense_forward` check and run a stack of dense layers, for the teacher and the student alike,
 and :func:`derived` keeps what a frozen network computes from its read-only arrays.
 """
@@ -17,25 +17,26 @@ __all__ = ["RngStream", "sigmoid", "relu", "ACTIVATIONS", "check_layers", "dense
            "derived"]
 
 _FORWARD_ROWS = 1024  # at most, per block: a 1024 x 1200 activation is 9.4 MiB in float64
-# elements per block of the flat elementwise loops (Adam's update, the KL penalty): a block's
-# handful of float64 arrays (under 1 MiB) stays in L2 between the passes over it
+# elements per block of the flat elementwise loops (Adam's check and update, the KL penalty): a
+# block's handful of float64 arrays (under 1 MiB) stays in L2 between the passes over it
 ELEMENT_BLOCK = 16384
+BIT_GENERATOR = np.random.SFC64  # behind every stream and every shuffle; the fastest numpy has
 
 
 class RngStream:
     """Deterministic random stream keyed by a seed and a derivation path.
 
-    Built on the counter-based Philox generator, so two streams created
-    with the same ``(seed, path)`` produce identical samples in any
-    process, and :meth:`child` splits off statistically independent
-    streams without consuming state from the parent.
+    Each stream is a :data:`BIT_GENERATOR` keyed by ``SeedSequence(seed, spawn_key=path)``.
+    That keying, not the generator, makes two streams with the same ``(seed, path)`` produce
+    identical samples in any process, and lets :meth:`child` split off statistically
+    independent streams without consuming state from the parent.
     """
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self._gen = np.random.Generator(BIT_GENERATOR(ss))
 
     def child(self, *path) -> "RngStream":
         """Derive an independent stream for a sub-task (epoch, batch, ...)."""
@@ -46,7 +47,7 @@ class RngStream:
         return self._gen.random(shape, dtype=np.float64)
 
     def normal(self, rows: int, cols: int) -> np.ndarray:
-        """Standard normal matrix from the Philox generator's own sampler."""
+        """Standard normal matrix from the generator's own sampler."""
         return self._gen.standard_normal((int(rows), int(cols)))
 
     def permutation(self, n: int) -> np.ndarray:

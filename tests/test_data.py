@@ -190,6 +190,13 @@ class TestBatchIter:
         seen = np.concatenate([idx for _, _, idx in batch_iter(ds, 4, shuffle_seed=None)])
         np.testing.assert_array_equal(seen, np.arange(9))
 
+    def test_shuffled_order_is_the_keyed_sfc64_permutation(self):
+        ds = make_blobs(37, 4, 3, seed=12)
+        for shuffle_seed in (5, (5, 2)):
+            seen = np.concatenate([i for _, _, i in batch_iter(ds, 8, shuffle_seed=shuffle_seed)])
+            keyed = np.random.Generator(np.random.SFC64(np.random.SeedSequence(shuffle_seed)))
+            np.testing.assert_array_equal(seen, keyed.permutation(37))
+
     def test_tuple_seed_determinism(self):
         ds = make_blobs(40, 4, 2, seed=10)
         order = lambda s: np.concatenate([i for _, _, i in batch_iter(ds, 16, shuffle_seed=s)])

@@ -20,7 +20,7 @@ from sparsedistill.student import (compact, init_student, prune_masks, student_d
 from sparsedistill.teacher import TeacherConfig, count_parameters, init_mlp, train_teacher
 from sparsedistill.tensor import ELEMENT_BLOCK
 
-from conftest import make_blobs, write_blob_idx
+from conftest import make_blobs, traced_peak, write_blob_idx
 
 
 def blob_dataset(n=60, d=8, classes=3, seed=0):
@@ -133,6 +133,27 @@ class TestAdam:
             Adam([a, b], lr=0.01).step()
         assert err.value.param == 1
 
+    def test_a_nan_in_a_later_block_raises_before_that_block_and_later_parameters(self):
+        before, nan, after = (Tensor(np.zeros(n), requires_grad=True)
+                              for n in (5, 3 * ELEMENT_BLOCK, 2 * ELEMENT_BLOCK))
+        for p in (before, nan, after):
+            p.grad = np.ones(p.data.size)
+        nan.grad[2 * ELEMENT_BLOCK + 3] = np.nan
+        with pytest.raises(TrainingError, match="non-finite gradient in parameter 1") as err:
+            Adam([before, nan, after], lr=0.01).step()
+        assert err.value.param == 1
+        assert np.all(before.data < 0) and np.all(nan.data[:2 * ELEMENT_BLOCK] < 0)
+        assert not nan.data[2 * ELEMENT_BLOCK:].any() and not after.data.any()
+
+    def test_a_step_allocates_less_than_four_blocks_of_bytes(self):
+        # the finiteness check reads one block at a time: no whole-gradient bool temporary
+        p = Tensor(np.zeros(8 * ELEMENT_BLOCK), requires_grad=True)
+        p.grad = np.random.default_rng(0).normal(size=p.data.size)
+        opt = Adam([p], lr=0.01)
+        _, peak = traced_peak(opt.step)
+        assert peak < 4 * ELEMENT_BLOCK
+        assert np.all(p.data != 0)
+
     def test_updates_are_in_place(self):
         p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
         buf = p.data
@@ -150,23 +171,30 @@ class TestAdam:
                   rng.normal(size=(6, 8))[::2, ::3]]             # neither C nor F order
         params = [Tensor(a, requires_grad=True) for a in arrays]
         assert all(p.data is a for p, a in zip(params, arrays))
-        want = [a.copy() for a in arrays]
-        m = [np.zeros(a.shape) for a in arrays]
-        v = [np.zeros(a.shape) for a in arrays]
+        want, textbook = [a.copy() for a in arrays], [a.copy() for a in arrays]
+        m, v, ms, vs = ([np.zeros(a.shape) for a in arrays] for _ in range(4))
         opt = Adam(params, lr=0.01)
         moments = opt._m + opt._v
         for t in range(1, 4):
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            scale = np.sqrt((1.0 - 0.999) / c2)
+            alpha, eps = 0.01 * (1.0 - 0.9) / (c1 * scale), 1e-8 / scale
             for k, p in enumerate(params):
                 g = rng.normal(size=p.data.shape)
                 # one gradient in column-major order, as a transposed product gives
                 p.grad = np.asfortranarray(g) if k == 0 else g.copy()
+                # the scaled moments m / (1 - 0.9) and v / (1 - 0.999), in the step's order
+                ms[k] = 0.9 * ms[k] + g
+                vs[k] = 0.999 * vs[k] + np.square(g)
+                want[k] -= alpha * ms[k] / (np.sqrt(vs[k]) + eps)
                 m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1.0 - 0.999) * np.square(g)
-                want[k] -= 0.01 * (m[k] / (1.0 - 0.9 ** t)) / (np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
+                textbook[k] -= 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
             opt.step()
-        for p, a, w in zip(params, arrays, want):
+        for p, a, w, tb in zip(params, arrays, want, textbook):
             assert p.data is a
             np.testing.assert_array_equal(p.data, w)
+            np.testing.assert_allclose(p.data, tb, rtol=1e-12)
         assert all(x is y for x, y in zip(opt._m + opt._v, moments))
 
     def test_zero_grad_resets_to_none(self):
@@ -204,6 +232,13 @@ class TestGradientClipping:
         a.grad = np.array([0.3, -0.4])
         _clip_global_norm([a], 2.5)
         np.testing.assert_array_equal(a.grad, [0.3, -0.4])
+
+    def test_sums_of_squares_allocate_less_than_half_a_gradient(self):
+        a = Tensor(np.zeros(8 * ELEMENT_BLOCK), requires_grad=True)
+        a.grad = np.random.default_rng(1).normal(size=a.data.size)
+        _, peak = traced_peak(_clip_global_norm, [a], 1.0)
+        assert peak < a.grad.nbytes / 2
+        np.testing.assert_allclose(np.linalg.norm(a.grad), 1.0, rtol=1e-12)
 
     def test_skips_missing_gradients(self):
         a = Tensor(np.array([0.0]), requires_grad=True)

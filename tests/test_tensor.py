@@ -55,12 +55,19 @@ class TestRngStream:
     @pytest.mark.parametrize("seed, path", [(0, ()), (7, (5, 0, 3)), (2**40 + 9, (1,)),
                                             (123, (5, 2, 17, 1))])
     @pytest.mark.parametrize("rows, cols", [(4, 6), (3, 5), (1, 9), (0, 4)])
-    def test_normal_is_the_keyed_philox_standard_normal(self, seed, path, rows, cols):
+    def test_normal_is_the_keyed_sfc64_standard_normal(self, seed, path, rows, cols):
         ss = np.random.SeedSequence(seed, spawn_key=path)
-        expected = np.random.Generator(np.random.Philox(ss)).standard_normal((rows, cols))
+        expected = np.random.Generator(np.random.SFC64(ss)).standard_normal((rows, cols))
         z = RngStream(seed, path).normal(rows, cols)
         assert z.shape == (rows, cols) and z.dtype == np.float64
         np.testing.assert_array_equal(z, expected)
+
+    @pytest.mark.parametrize("seed, path", [(0, ()), (7, (5, 0, 3)), (2**40 + 9, (1,))])
+    def test_uniform_and_permutation_are_the_keyed_sfc64_draws(self, seed, path):
+        def keyed():
+            return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=path)))
+        np.testing.assert_array_equal(RngStream(seed, path).uniform(3, 4), keyed().random((3, 4)))
+        np.testing.assert_array_equal(RngStream(seed, path).permutation(50), keyed().permutation(50))
 
     def test_permutation_is_permutation(self):
         p = RngStream(13).permutation(50)
