@@ -16,16 +16,16 @@ from .errors import (ConsistencyError, DomainError, FormatError, LengthError,
                      ShapeError, StalenessError, TrainingError, UsageError)
 from .losses import (BsrContext, LossConfig, make_bsr_context, resolve_variant, total_loss,
                      warmup_scale)
-from .metrics import (SparsityReport, csr_bytes, dense_bytes, emit_report, footprint,
-                      inference_time, per_layer_sparsity_pct, sparsity_ratio, top1_error)
+from .metrics import (SparsityReport, count_parameters, csr_bytes, dense_bytes, emit_report,
+                      footprint, inference_time, per_layer_sparsity_pct, sparsity_ratio,
+                      top1_error)
 from .optim import (Adam, StudentTrainConfig, evaluate_student, lowdata_sweep,
                     report_student, summarize_sweep, train_student)
 from .student import (StudentNet, VariationalDenseLayer, alpha_log, init_student,
                       load_student, prune_mask, prune_masks, save_student, student_logits)
-from .teacher import (DenseMLP, LogitCache, TeacherConfig, count_parameters,
-                      forward_logits, init_mlp, load_checkpoint, load_logit_cache,
-                      payload_digest, precompute_logits, save_checkpoint,
-                      save_logit_cache, train_teacher)
+from .teacher import (DenseMLP, LogitCache, TeacherConfig, forward_logits, init_mlp,
+                      load_checkpoint, load_logit_cache, payload_digest, precompute_logits,
+                      save_checkpoint, save_logit_cache, train_teacher)
 from .tensor import RngStream
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConsistencyError, FormatError, LengthError, as_choice, as_int, as_real
 from .tensor import ACTIVATIONS
 
-__all__ = ["parse_arch", "read_manifest", "digest", "write_artifact", "read_artifact"]
+__all__ = ["parse_arch", "arch_text", "read_manifest", "digest", "write_artifact", "read_artifact"]
 
 # the manifest fields of each kind, between ``kind`` and ``digest``
 _FIELDS = {
@@ -56,6 +56,11 @@ def parse_arch(spec) -> list[int]:
             raise FormatError(f"a {k}x{h} layer is too wide: numpy cannot size its float64 "
                               f"weight matrix of {k * h * 8} bytes")
     return widths
+
+
+def arch_text(widths) -> str:
+    """The dash-separated text of a width list, which :func:`parse_arch` reads back."""
+    return "-".join(str(w) for w in widths)
 
 
 def read_manifest(path) -> dict:

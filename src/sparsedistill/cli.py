@@ -14,27 +14,27 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .checkpoint import parse_arch, read_manifest
+from .checkpoint import arch_text, parse_arch, read_manifest
 from .data import load_idx
 from .errors import FormatError, UsageError, as_choice, as_distinct, as_int
-from .losses import LossConfig, VARIANTS, resolve_variant, teacher_inputs
-from .metrics import REPORT_FORMATS, emit_report, to_json
+from .losses import GROUP_NORMS, LossConfig, VARIANTS, resolve_variant, teacher_inputs
+from .metrics import REPORT_FORMATS, count_parameters, emit_report, to_json
 from .optim import (StudentTrainConfig, lowdata_sweep, report_student, summarize_sweep,
                     train_student)
 from .student import load_student, save_student
-from .teacher import (TeacherConfig, count_parameters, load_checkpoint, load_logit_cache,
-                      payload_digest, precompute_logits, save_checkpoint,
-                      save_logit_cache, train_teacher)
+from .teacher import (TeacherConfig, load_checkpoint, load_logit_cache, payload_digest,
+                      precompute_logits, save_checkpoint, save_logit_cache, train_teacher)
+from .tensor import ACTIVATIONS
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 # -- option plumbing ----------------------------------------------------------
 
 
 def _arch(text: str) -> str:
-    parse_arch(text)
-    return text
+    """The canonical text of the widths ``text`` names: ``"16- 08-3"`` is ``"16-8-3"``."""
+    return arch_text(parse_arch(text))
 
 
 def _sizes(text: str) -> list[int]:
@@ -90,8 +90,8 @@ _FLAGS = {
     "student": (str, "student checkpoint (manifest path)"),
     "arch": (_arch, "dash-separated widths"),
     "variant": (_choice("variant", VARIANTS), "one of " + ", ".join(VARIANTS)),
-    "bsr": (_choice("group-norm variant", ("l1lq", "l1linf")),
-            "add the row-group norm l1lq or l1linf (st-* variants have l1lq)"),
+    "bsr": (_choice("group-norm variant", GROUP_NORMS),
+            "add the row-group norm " + " or ".join(GROUP_NORMS) + " (st-* variants have l1lq)"),
     "q": (float, "inner norm order for l1lq"),
     "temperature": (float, "softening temperature"),
     "lambda_t": (float, "hint weight"),
@@ -101,7 +101,8 @@ _FLAGS = {
     "epochs": (int, "training epochs"),
     "batch": (int, "batch size; for evaluate, that of the timed forward pass"),
     "lr": (float, "Adam step size"),
-    "tau": (float, "prune weights with log alpha above this"),
+    "tau": (float, "prune weights with log alpha above this; for evaluate, the "
+                   "checkpoint's when not given"),
     "seed": (_seed, "run seed"),
     "sizes": (_sizes, "comma-separated subset sizes"),
     "seeds": (_seeds, "seed count, or comma-separated seed list"),
@@ -109,7 +110,7 @@ _FLAGS = {
     "time": (_bool, "also measure inference time, which makes output nondeterministic"),
     "hint_reverse": (_bool, "swap the roles in the hint divergence"),
     "clip": (float, "clip the joint gradient l2 norm to this value (off by default)"),
-    "activation": (_choice("activation", ("relu", "sigmoid")), "hidden nonlinearity"),
+    "activation": (_choice("activation", tuple(ACTIVATIONS)), "hidden nonlinearity"),
 }
 
 
@@ -166,6 +167,8 @@ def _load_pair(v, prefix: str, required: bool, arch: list[int]):
         return None
     ds = load_idx(_require_file(images, f"--{prefix}-images"),
                   _require_file(labels, f"--{prefix}-labels"))
+    if len(ds) == 0:
+        raise UsageError(f"{images}: the data set has no rows")
     if arch[0] != ds.n_features:
         raise UsageError(f"{images}: {ds.n_features} features, but the input width is {arch[0]}")
     if arch[-1] < ds.n_classes:
@@ -194,7 +197,7 @@ def cmd_train_teacher(v: argparse.Namespace) -> int:
     save_logit_cache(precompute_logits(net, train_ds), out / "cache.ckpt")
     _write_json(out / "config.json", _settings(v))
     final = records[-1]
-    print(f"teacher {'-'.join(str(w) for w in arch)}: "
+    print(f"teacher {v.arch}: "
           f"{count_parameters(net)} parameters, digest {digest[:12]}, "
           f"final train error {final['train_error']:.4f}"
           + (f", test error {final['test_error']:.4f}" if "test_error" in final else ""))
@@ -268,7 +271,7 @@ def cmd_train_student(v: argparse.Namespace) -> int:
     resolved = {**_settings(v), "loss": asdict(loss_cfg)}
     _write_json(out / "config.json", resolved)
     last = records[-1]
-    print(f"student {'-'.join(str(w) for w in cfg.arch)} [{v.variant}]: "
+    print(f"student {v.arch} [{v.variant}]: "
           f"R_s {last['r_s']:.2f} at tau {v.tau}"
           + (f", test error {last['test_error_pct']:.2f}%" if "test_error_pct" in last else ""))
     if test_ds is not None:
@@ -282,11 +285,14 @@ def cmd_train_student(v: argparse.Namespace) -> int:
 
 def cmd_evaluate(v: argparse.Namespace) -> int:
     as_int(v.batch, "batch size", 1)
-    net, _ = load_student(_require_file(v.student, "--student"))
+    net, tau = load_student(_require_file(v.student, "--student"))
+    tau = tau if v.tau is None else v.tau  # --tau, or --config, over the checkpoint's
+    if tau is None:
+        raise UsageError(f"{v.student}: the checkpoint records no tau; give --tau")
     test_ds = _load_pair(v, "test", True, net.arch)
     teacher_net = None if v.teacher is None else _load_teacher(v.teacher, net.arch)
-    resolved = {"student": str(v.student), "tau": v.tau, "format": v.format}
-    report = report_student(net, v.tau, test_ds, teacher=teacher_net, config=resolved,
+    resolved = {"student": str(v.student), "tau": tau, "format": v.format}
+    report = report_student(net, tau, test_ds, teacher=teacher_net, config=resolved,
                             timed_batch=v.batch if v.time else None)
     doc = emit_report([report], v.format)
     if v.out:
@@ -341,7 +347,7 @@ _COMMANDS = {
                       (*_INPUTS, "teacher", "cache"), _STUDENT),
     "evaluate": (cmd_evaluate, "score a student checkpoint at a pruning threshold",
                  ("test_images", "test_labels", "config", "out", "student", "teacher"),
-                 {"tau": "3", "format": "json", "time": "false", "batch": "100"}),
+                 {"tau": None, "format": "json", "time": "false", "batch": "100"}),
     "lowdata": (cmd_lowdata, "sweep training-set sizes, distilled against teacher-free",
                 (*_INPUTS, "teacher", "cache"),
                 {**{k: d for k, d in _STUDENT.items() if k not in ("seed", "format")},
@@ -369,10 +375,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
                     if convert is _bool else dict(type=_argparse_type(convert), default=default))
             p.add_argument("--" + dest.replace("_", "-"), help=text, **kind)
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
 
 
 def main(argv=None) -> int:

@@ -33,10 +33,11 @@ from .student import kl_svd_node, kl_vbd_node, student_logits_node
 __all__ = [
     "LossConfig", "resolve_variant", "teacher_inputs", "warmup_scale", "effective_lambda_v",
     "cross_entropy_node", "hint_node",
-    "BsrContext", "make_bsr_context", "bsr_node", "total_loss", "VARIANTS",
+    "BsrContext", "make_bsr_context", "bsr_node", "total_loss", "VARIANTS", "GROUP_NORMS",
 ]
 
 VARIANTS = ("simple", "kd", "kd-svd", "kd-vbd", "st-svd", "st-vbd")
+GROUP_NORMS = ("l1lq", "l1linf")  # the row-group norms of the group term
 
 
 @dataclass
@@ -52,7 +53,7 @@ class LossConfig:
     lambda_v_max: Optional[float] = None
     lambda_g: float = 0.0
     kl_variant: Optional[str] = None      # "svd" | "vbd" | None
-    bsr_variant: Optional[str] = None     # "l1lq" | "l1linf" | None
+    bsr_variant: Optional[str] = None     # one of GROUP_NORMS | None
     q: float = 2.0
     warmup_epochs: int = 10
     hint_reverse: bool = False
@@ -67,7 +68,7 @@ class LossConfig:
         self.lambda_g = as_real(self.lambda_g, "lambda_g", 0)
         self.kl_variant = as_choice(self.kl_variant, "kl variant", (None, "svd", "vbd"))
         self.bsr_variant = as_choice(self.bsr_variant, "group-norm variant",
-                                     (None, "l1lq", "l1linf"))
+                                     (None, *GROUP_NORMS))
         if self.lambda_g != 0.0 and self.bsr_variant is None:
             raise UsageError(f"lambda_g {self.lambda_g} needs a group norm, but bsr_variant is None")
         # checked even when unused, since the run's config.json records it
@@ -217,7 +218,7 @@ class BsrContext:
 
 
 def make_bsr_context(teacher_weights, student_shapes, variant: str, q: float = 2.0) -> BsrContext:
-    as_choice(variant, "group-norm variant", ("l1lq", "l1linf"))
+    as_choice(variant, "group-norm variant", GROUP_NORMS)
     teacher_weights = [np.asarray(w, dtype=np.float64) for w in teacher_weights]
     heights = [w.shape[0] for w in teacher_weights] + [s[0] for s in student_shapes]
     m = max(heights)

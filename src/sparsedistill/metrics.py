@@ -18,15 +18,16 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .checkpoint import parse_arch
 from .errors import DomainError, UsageError, as_choice
 
 __all__ = [
     "top1_error", "sparsity_ratio", "per_layer_sparsity_pct",
-    "compression_ratio", "csr_bytes", "dense_bytes", "footprint",
+    "count_parameters", "compression_ratio", "csr_bytes", "dense_bytes", "footprint",
     "remaining_parameters", "inference_time", "SparsityReport", "emit_report",
     "REPORT_FORMATS", "to_json", "json_line",
 ]
@@ -58,6 +59,13 @@ def sparsity_ratio(masks) -> float:
 def per_layer_sparsity_pct(masks) -> list[float]:
     """Percent of weights removed in each layer (biases excluded)."""
     return [float(100.0 * (1.0 - np.count_nonzero(m) / np.asarray(m).size)) for m in masks]
+
+
+def count_parameters(net_or_arch) -> int:
+    """Trainable parameter count, weights plus biases layer by layer, of a width list or of a
+    network with an ``arch``."""
+    arch = parse_arch(getattr(net_or_arch, "arch", net_or_arch))
+    return sum(k * h + h for k, h in zip(arch[:-1], arch[1:]))
 
 
 def compression_ratio(teacher_params: int, student_params: int) -> float:
@@ -131,22 +139,14 @@ class SparsityReport:
     config: dict = field(default_factory=dict)
 
 
-_NUMERIC_KEYS = ("test_error_pct", "r_s", "r_c", "dense_bytes", "csr_bytes",
-                 "footprint_compression", "inference_ms")
-
-
-def _sig6(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        if np.isinf(v):
-            return "inf"
-        return f"{v:.6g}"
-    return str(v)
-
-
-def _layers_cell(values) -> str:
-    return "-".join(f"{v:.6g}" for v in values)
+def _cell(value) -> str:
+    """A table cell by the type of its value: text as it is, a per-layer list joined by
+    dashes, a float to 6 significant digits, an int in full, and None empty."""
+    if isinstance(value, list):
+        return "-".join(f"{v:.6g}" for v in value)
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return "" if value is None else str(value)
 
 
 def _inf_as_text(obj):
@@ -187,11 +187,8 @@ def emit_report(reports, fmt: str = "json") -> str:
     if fmt == "json":
         return to_json(rows, indent=2)
 
-    header = ["network", "test_error_pct", "per_layer_sparsity", "r_s", "r_c",
-              "dense_bytes", "csr_bytes", "footprint_compression", "inference_ms"]
-    table = [[row["network"], _sig6(row["test_error_pct"]),
-              _layers_cell(row["per_layer_sparsity"])]
-             + [_sig6(row[k]) for k in _NUMERIC_KEYS[1:]] for row in rows]
+    header = [f.name for f in fields(SparsityReport) if f.name != "config"]
+    table = [[_cell(row[k]) for k in header] for row in rows]
     if fmt == "markdown":
         lines = [header, ["---" for _ in header]] + table
         return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)

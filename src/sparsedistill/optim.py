@@ -16,13 +16,14 @@ from time import perf_counter
 import numpy as np
 
 from .autograd import Tensor
-from .checkpoint import parse_arch
+from .checkpoint import arch_text, parse_arch
 from .data import Dataset, batch_iter, subset_indices
-from .errors import (ConsistencyError, TrainingError, UsageError, as_choice, as_distinct,
-                     as_int, as_real)
+from .errors import (ConsistencyError, DomainError, TrainingError, UsageError, as_choice,
+                     as_distinct, as_int, as_real)
 from .losses import LossConfig, make_bsr_context, teacher_inputs, total_loss
-from .metrics import (SparsityReport, compression_ratio, footprint, inference_time, json_line,
-                      per_layer_sparsity_pct, remaining_parameters, sparsity_ratio, top1_error)
+from .metrics import (SparsityReport, compression_ratio, count_parameters, footprint,
+                      inference_time, json_line, per_layer_sparsity_pct, remaining_parameters,
+                      sparsity_ratio, top1_error)
 from .student import StudentNet, compact, init_student, prune_masks
 from .tensor import ACTIVATIONS, ELEMENT_BLOCK, RngStream, dense_forward
 
@@ -124,7 +125,10 @@ def fit(params: list[Tensor], ds: Dataset, cfg, step, record, *, grad_clip: floa
     ``step(xb, yb, idx, epoch, i)`` gives batch ``i``'s loss node and a part to keep; a
     non-finite loss raises :class:`TrainingError`.  Then zero-grad, backward, the optional
     ``grad_clip`` and the Adam step.  ``record(epoch, parts)`` makes the epoch's record from its
-    parts in step order.  ``log_dir`` gets ``session.jsonl`` and ``timing.jsonl``."""
+    parts in step order.  ``log_dir`` gets ``session.jsonl`` and ``timing.jsonl``.  An empty
+    ``ds`` raises :class:`DomainError` before the first step."""
+    if len(ds) == 0:
+        raise DomainError("the training set has no rows")
     opt = Adam(params, lr=cfg.lr)
     records, timing = [], []
     for epoch in range(cfg.epochs):
@@ -225,11 +229,9 @@ def report_student(net: StudentNet, tau: float, test_ds: Dataset, *, teacher=Non
     scored, masks, forward = _score(net, test_ds, tau)
     biases = [l.bias for l in net.layers]
     stored = footprint(masks, biases)["stored_bytes"]
-    pairs = ([(l.theta, l.bias) for l in net.layers] if teacher is None
-             else zip(teacher.weights, teacher.biases))
-    baseline_params = sum(w.size + b.size for w, b in pairs)
+    baseline_params = count_parameters(net if teacher is None else teacher)
     report = SparsityReport(
-        network="-".join(str(w) for w in net.arch),
+        network=arch_text(net.arch),
         test_error_pct=scored["test_error_pct"],
         per_layer_sparsity=scored["per_layer_sparsity"],
         r_s=scored["r_s"],

@@ -58,10 +58,6 @@ class VariationalDenseLayer:
             raise ConsistencyError(
                 f"theta {self.theta.shape} and log_sigma2 {self.log_sigma2.shape} differ"
             )
-        if self.theta.shape[1] != self.bias.shape[0]:
-            raise ConsistencyError(
-                f"bias length {self.bias.shape[0]} != layer width {self.theta.shape[1]}"
-            )
 
     @property
     def shape(self):
@@ -322,7 +318,7 @@ def student_digest(net: StudentNet) -> str:
 
 def save_student(net: StudentNet, base_path, tau: float | None = None) -> str:
     return checkpoint.write_artifact(base_path, "variational_mlp", {
-        "architecture": "-".join(str(w) for w in net.arch),
+        "architecture": checkpoint.arch_text(net.arch),
         "activation": net.activation,
         "seed": net.seed,
         "tau": None if tau is None else repr(float(tau)),

@@ -24,7 +24,7 @@ from .checkpoint import parse_arch
 from .errors import StalenessError
 from .data import Dataset
 from .losses import cross_entropy_node
-from .metrics import top1_error
+from .metrics import count_parameters, top1_error
 from .optim import check_schedule, fit
 from .tensor import RngStream, check_layers, dense_forward, derived
 
@@ -34,7 +34,6 @@ __all__ = [
     "LogitCache",
     "init_mlp",
     "forward_logits",
-    "count_parameters",
     "train_teacher",
     "precompute_logits",
     "payload_digest",
@@ -115,12 +114,6 @@ def forward_logits(net: DenseMLP, batch: np.ndarray) -> np.ndarray:
     return dense_forward(batch, weights, net.biases, net.activation)
 
 
-def count_parameters(net_or_arch) -> int:
-    """Trainable parameter count: weights plus biases, layer by layer."""
-    arch = net_or_arch.arch if isinstance(net_or_arch, DenseMLP) else parse_arch(net_or_arch)
-    return sum(k * h + h for k, h in zip(arch[:-1], arch[1:]))
-
-
 def train_teacher(ds: Dataset, config: TeacherConfig, test_ds: Dataset | None = None, *,
                   log_dir=None):
     """Minimise cross-entropy with :func:`.optim.fit`; returns the net, frozen, and per-epoch
@@ -182,7 +175,7 @@ def save_checkpoint(net: DenseMLP, base_path) -> str:
     """Write manifest at ``base_path`` and payload at ``base_path + '.bin'``; returns the
     payload digest, which a frozen net keeps as its :func:`payload_digest`."""
     digest = checkpoint.write_artifact(base_path, "dense_mlp", {
-        "architecture": "-".join(str(w) for w in net.arch),
+        "architecture": checkpoint.arch_text(net.arch),
         "activation": net.activation,
         "seed": net.seed,
     }, _arrays(net))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedistill.checkpoint import read_manifest
+from sparsedistill.checkpoint import arch_text, parse_arch, read_manifest
 from sparsedistill.data import load_idx, write_idx
 from sparsedistill.errors import FormatError
 from sparsedistill.student import init_student, load_student, save_student
@@ -172,3 +172,10 @@ class TestMutatedBytes:
     def test_load_logit_cache(self, originals, data):
         loads_or_raises_own_error(originals, data, ["cache.ckpt", "cache.ckpt.bin"],
                                   lambda root: load_logit_cache(root / "cache.ckpt"))
+
+
+class TestArchText:
+    @PROPERTY
+    @given(widths=st.lists(st.integers(1, 10**6), min_size=2, max_size=6))
+    def test_parse_arch_reads_arch_text_back(self, widths):
+        assert parse_arch(arch_text(widths)) == widths

@@ -16,16 +16,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsedistill
-from sparsedistill.cli import _COMMANDS, _FLAGS, build_parser, main
+from sparsedistill.cli import _COMMANDS, _FLAGS, _parsers, main
 from sparsedistill.checkpoint import read_manifest
-from sparsedistill.data import load_idx
-from sparsedistill.losses import resolve_variant
+from sparsedistill.data import load_idx, write_idx
+from sparsedistill.losses import GROUP_NORMS, resolve_variant
 from sparsedistill.optim import StudentTrainConfig, train_student
-from sparsedistill.student import save_student
+from sparsedistill.student import load_student, save_student
+from sparsedistill.tensor import ACTIVATIONS
 
+from blob_corpus import run as run_blob_corpus
 from conftest import write_blob_idx
 
 
@@ -64,6 +67,16 @@ def four_class(tmp_path_factory):
     paths = write_blob_idx(root, n_train=60, n_test=24, d=16, classes=4,
                            seed=1, rows=4, cols=4)
     return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.fixture(scope="module")
+def empty(tmp_path_factory):
+    """A valid IDX pair of 16 features and no rows, as both the training and the test set."""
+    root = tmp_path_factory.mktemp("empty-idx")
+    write_idx(np.zeros((0, 16)), np.zeros(0), root / "images.idx", root / "labels.idx",
+              rows=4, cols=4)
+    return {f"{s}_{k}": str(root / f"{k}.idx") for s in ("train", "test")
+            for k in ("images", "labels")}
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +331,33 @@ class TestWidthsWhereInputsEnter:
         assert main([*run, "--lambda-t", "0", "--out", str(tmp_path / "no-hint")]) == 0
 
 
+class TestEmptyDataSetWhereItEnters:
+    """A data set with no rows exits 2 naming its images file, before anything is written."""
+
+    @staticmethod
+    def err_names_the_images(capsys, empty, prefix):
+        err = capsys.readouterr().err
+        assert f"{empty[prefix + '_images']}: the data set has no rows" in err, err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train-teacher", ["--arch", "16-10-3"]),
+        ("train-student", ["--arch", "16-8-3", "--variant", "simple"]),
+        ("lowdata", ["--arch", "16-8-3", "--variant", "kd", "--sizes", "30", "--seeds", "1"]),
+    ])
+    def test_training_set(self, corpus, empty, teacher_run, tmp_path, capsys, command, flags):
+        teacher = ["--teacher", teacher_run["teacher"]] if command == "lowdata" else []
+        out = tmp_path / "out"
+        assert main([command, *data_flags(empty, test=False), *data_flags(corpus, train=False),
+                     *flags, *teacher, "--epochs", "1", "--out", str(out)]) == 2
+        self.err_names_the_images(capsys, empty, "train")
+        assert not out.exists()
+
+    def test_evaluate_test_set(self, empty, student_run, capsys):
+        assert main(["evaluate", "--student", student_run["student"],
+                     *data_flags(empty, train=False)]) == 2
+        self.err_names_the_images(capsys, empty, "test")
+
+
 class TestTeacherNeededWhereFlagsEnter:
     """A variant whose hint or group term needs a teacher, run without ``--teacher``, exits 2
     before training and names the flags that fix it."""
@@ -522,6 +562,13 @@ class TestTeacherArtifacts:
         assert meta["arch"] == [16, 10, 3] and meta["n_train"] == 120
         assert meta["train"]["epochs"] == 6 and meta["train"]["batch_size"] == 32
 
+    def test_arch_is_recorded_in_its_canonical_text(self, corpus, tmp_path, capsys):
+        assert main(["train-teacher", *data_flags(corpus, test=False), "--arch", "16- 08-3",
+                     "--epochs", "1", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "config.json").read_text())["arch"] == "16-8-3"
+        assert read_manifest(tmp_path / "teacher.ckpt")["architecture"] == "16-8-3"
+        assert capsys.readouterr().out.startswith("teacher 16-8-3: ")
+
     def test_session_meta_matches_manifest_digest(self, teacher_run):
         meta = json.loads((teacher_run["out"] / "session.jsonl")
                           .read_text().splitlines()[0])
@@ -690,13 +737,24 @@ class TestFlagTable:
         assert "trainingepochs(default30)" in self.help_text("lowdata", capsys)
 
     def test_argparse_converts_every_default(self):
-        parser = build_parser()
+        parser, _ = _parsers()
         for command, (_, _, plain, defaults) in _COMMANDS.items():
             args = vars(parser.parse_args([command]))
             for dest, text in defaults.items():
                 want = None if text is None else _FLAGS[dest][0](text)
                 assert args[dest] == want and type(args[dest]) is type(want), (command, dest)
             assert all(args[dest] is None for dest in plain), command
+
+    @pytest.mark.parametrize("dest,names", [("activation", tuple(ACTIVATIONS)),
+                                            ("bsr", GROUP_NORMS)])
+    def test_choices_are_the_library_s(self, capsys, dest, names):
+        parser, _ = _parsers()
+        flag = "--" + dest
+        for name in names:
+            assert getattr(parser.parse_args(["train-student", flag, name]), dest) == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train-student", flag, "other"])
+        assert f"expected one of {', '.join(names)}" in capsys.readouterr().err
 
     def test_every_flag_is_offered(self, capsys):
         offered = set()
@@ -773,6 +831,29 @@ class TestEvaluate:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["r_s"] == 1.0
         assert rows[0]["per_layer_sparsity"] == [0.0, 0.0]
+
+    def test_tau_is_the_checkpoint_s_unless_given(self, corpus, student_run, tmp_path, capsys):
+        """The flag, then the config file, then the tau the student was saved with."""
+        saved = tmp_path / "student.ckpt"
+        save_student(load_student(student_run["student"])[0], saved, tau=1e9)
+        argv = ["evaluate", "--student", str(saved), *data_flags(corpus, train=False)]
+        assert main(argv) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert row["r_s"] == 1.0 and row["config"]["tau"] == 1e9
+        config = tmp_path / "eval.cfg"
+        config.write_text("tau=5\n")
+        for flags, tau in (([], 5.0), (["--tau", "7"], 7.0)):
+            assert main([*argv, "--config", str(config), *flags]) == 0
+            assert json.loads(capsys.readouterr().out)[0]["config"]["tau"] == tau
+
+    def test_a_checkpoint_without_tau_needs_the_flag(self, corpus, student_run, tmp_path,
+                                                     capsys):
+        saved = tmp_path / "student.ckpt"
+        save_student(load_student(student_run["student"])[0], saved)
+        argv = ["evaluate", "--student", str(saved), *data_flags(corpus, train=False)]
+        assert main(argv) == 2
+        assert "records no tau; give --tau" in capsys.readouterr().err
+        assert main([*argv, "--tau", "3"]) == 0
 
     def test_timing_flag_fills_inference_column(self, corpus, student_run, capsys):
         rc = main(["evaluate", "--student", student_run["student"], "--time",
@@ -877,3 +958,17 @@ class TestLowdata:
         rc = main(["lowdata", *data_flags(corpus), "--sizes", "30",
                    "--seeds", "1", "--epochs", "1"])
         assert rc == 2
+
+
+@pytest.mark.slow
+def test_two_blob_corpus_runs_write_the_same_bytes(tmp_path):
+    """The bit check of ``tests/blob_corpus.py``, run twice: every file but the wall-clock
+    ``timing.jsonl`` logs is byte-identical."""
+    def outputs(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+                if p.is_file() and p.name != "timing.jsonl"}
+    for side in ("a", "b"):
+        run_blob_corpus(tmp_path / side)
+    a, b = outputs(tmp_path / "a"), outputs(tmp_path / "b")
+    assert sorted(a) == sorted(b) and len(a) == 27
+    assert [name for name in a if a[name] != b[name]] == []

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from sparsedistill.errors import DomainError, UsageError
-from sparsedistill.metrics import (SparsityReport, compression_ratio, csr_bytes,
+from sparsedistill.metrics import (SparsityReport, compression_ratio, count_parameters, csr_bytes,
                                    dense_bytes, emit_report, footprint,
                                    inference_time, per_layer_sparsity_pct,
                                    remaining_parameters, sparsity_ratio, to_json,
                                    top1_error)
 from sparsedistill.student import init_student, student_logits
+from sparsedistill.teacher import init_mlp
 
 
 class TestTop1Error:
@@ -65,6 +66,13 @@ class TestSparsityRatio:
         masks = [np.array([[1.0, 0.0], [1.0, 1.0]]), np.ones((1, 2))]
         biases = [np.zeros(2), np.zeros(2)]
         assert remaining_parameters(masks, biases) == 5 + 4
+
+
+class TestCountParameters:
+    def test_a_network_counts_as_its_widths(self):
+        student = init_student([6, 4, 3], seed=0)
+        assert count_parameters(student) == count_parameters(student.arch) == 6 * 4 + 4 + 4 * 3 + 3
+        assert count_parameters(init_mlp([6, 4, 3], seed=0)) == count_parameters("6-4-3")
 
 
 class TestCompressionRatio:

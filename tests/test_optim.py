@@ -9,7 +9,8 @@ import pytest
 from sparsedistill import optim
 from sparsedistill.autograd import Tensor
 from sparsedistill.data import Dataset, load_idx, subset_indices
-from sparsedistill.errors import ConsistencyError, FormatError, TrainingError, UsageError
+from sparsedistill.errors import (ConsistencyError, DomainError, FormatError, TrainingError,
+                                  UsageError)
 from sparsedistill.losses import LossConfig, resolve_variant
 from sparsedistill.optim import (Adam, StudentTrainConfig, _clip_global_norm, evaluate_student,
                                  lowdata_sweep, report_student, summarize_sweep, train_student)
@@ -430,6 +431,19 @@ def test_non_finite_batch_stops_either_network_at_its_step(train):
     with pytest.raises(TrainingError) as err:
         train(ds)
     assert (err.value.epoch, err.value.batch) == (0, 0)
+
+
+@pytest.mark.parametrize("train", [
+    lambda ds, log_dir: train_teacher(ds, TeacherConfig(arch=[4, 3, 2], epochs=1),
+                                      log_dir=log_dir),
+    lambda ds, log_dir: train_student(ds, None, LossConfig(lambda_t=0.0), quick_cfg(arch=[4, 3, 2]),
+                                      log_dir=log_dir),
+], ids=["teacher", "student"])
+def test_an_empty_training_set_stops_either_network_before_its_first_step(train, tmp_path):
+    ds = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(DomainError, match="no rows"):
+        train(ds, tmp_path / "log")
+    assert not (tmp_path / "log").exists()
 
 class TestEvaluateStudent:
     def test_repeat_evaluation_is_identical(self):

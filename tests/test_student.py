@@ -109,8 +109,8 @@ class TestInitStudent:
     def test_layer_and_net_validation(self):
         with pytest.raises(ConsistencyError):
             VariationalDenseLayer(np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ConsistencyError):
-            VariationalDenseLayer(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3))
+        with pytest.raises(ConsistencyError):  # the net owns the bias-length rule
+            StudentNet([VariationalDenseLayer(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3))])
         good = layer_fixture()
         with pytest.raises(ConsistencyError):
             StudentNet([good, layer_fixture()])  # 2 outputs feeding 3 inputs
